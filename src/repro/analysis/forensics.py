@@ -27,8 +27,15 @@ Time inside ``[t0, t1]`` not covered by any span is wire transit plus
 remote-side gaps the sampler did not see; it is reported honestly as
 ``("wire", "transit")`` rather than smeared over the known causes.
 
-**Exactness.**  Segment arithmetic runs in :class:`fractions.Fraction`:
-the per-request attribution sums *telescope* to exactly
+**Exactness.**  Every sim time and cost is a float, hence a dyadic
+rational.  :func:`critical_path` scales a request's ``t0``, ``t1``,
+span starts and costs (via :meth:`float.as_integer_ratio`) to integers
+on one common per-request dyadic grid — multiples of ``2**-k`` for the
+finest ``k`` among them — so ``start + cost``, clipping and every
+boundary comparison are exact integer operations (float ``start +
+cost`` would round and move boundaries).  :class:`fractions.Fraction`
+appears only at the edges: the returned segment bounds and the
+attribution totals.  Those totals *telescope* to exactly
 ``Fraction(t1) - Fraction(t0)``, whose float value equals the float
 subtraction ``t1 - t0`` (both are the correctly-rounded image of the
 same exact real), so every request's attributed causes sum to its
@@ -41,6 +48,9 @@ rings, same JSON bytes.
 """
 
 from fractions import Fraction
+from heapq import heappop, heappush
+from itertools import chain
+from math import lcm
 
 #: Critical-path blame priority (lower wins when intervals overlap).
 CAUSE_PRIORITY = {
@@ -53,21 +63,6 @@ CAUSE_PRIORITY = {
 
 #: The uncovered remainder of a request's interval.
 TRANSIT = ("wire", "transit")
-
-
-class _Candidate:
-    """One span projected onto a request's timeline."""
-
-    __slots__ = ("start", "end", "owner", "layer", "cause", "prio", "seq")
-
-    def __init__(self, start, end, owner, layer, cause, prio, seq):
-        self.start = start
-        self.end = end
-        self.owner = owner
-        self.layer = layer
-        self.cause = cause
-        self.prio = prio
-        self.seq = seq
 
 
 def _span_key(span):
@@ -113,64 +108,69 @@ def critical_path(cpu_spans, wait_spans, t0, t1):
 
     Every retained span is clipped to the request interval; each
     elementary sub-interval (between consecutive span boundaries) is
-    blamed on the covering candidate with the best (lowest)
-    ``(cause priority, start, seq)``; uncovered sub-intervals become
-    :data:`TRANSIT`.  Adjacent same-blame segments merge.  Returns a
-    list of dicts with exact :class:`Fraction` bounds under ``start``/
-    ``end`` (callers serialize via :func:`path_to_json`).
+    blamed on the covering span with the best (lowest)
+    ``(cause priority, clipped start, input order)`` — CPU spans before
+    waits; uncovered sub-intervals become :data:`TRANSIT`.  Adjacent
+    same-blame segments merge.  Returns a list of dicts with exact
+    :class:`Fraction` bounds under ``start``/``end`` (callers serialize
+    via :func:`path_to_json`).
+
+    A sweep line: spans sorted by clipped start enter a heap keyed by
+    blame priority at their first cut and leave it lazily once a cut
+    reaches their end, so the heap top is the blame — O(n log n) in the
+    number of spans, all on the scaled-integer grid.
     """
-    lo, hi = Fraction(t0), Fraction(t1)
+    spans = list(chain(cpu_spans, wait_spans))
+    lo_n, lo_d = t0.as_integer_ratio()
+    hi_n, hi_d = t1.as_integer_ratio()
+    grid = lcm(lo_d, hi_d, *{x.as_integer_ratio()[1] for span in spans
+                             for x in (span.start, span.cost)})
+    lo = lo_n * (grid // lo_d)
+    hi = hi_n * (grid // hi_d)
     if hi <= lo:
         return []
-    candidates = []
-    seq = 0
-    for span in cpu_spans:
-        s = Fraction(span.start)
-        e = s + Fraction(span.cost)
-        if e <= lo or s >= hi:
-            continue
-        candidates.append(_Candidate(
-            max(s, lo), min(e, hi), span.owner, span.layer, "service",
-            CAUSE_PRIORITY["service"], seq))
-        seq += 1
-    for wait in wait_spans:
-        s = Fraction(wait.start)
-        e = s + Fraction(wait.cost)
-        if e <= lo or s >= hi:
-            continue
-        candidates.append(_Candidate(
-            max(s, lo), min(e, hi), wait.owner, wait.layer, wait.kind,
-            CAUSE_PRIORITY.get(wait.kind, len(CAUSE_PRIORITY)), seq))
-        seq += 1
 
-    bounds = {lo, hi}
-    for cand in candidates:
-        bounds.add(cand.start)
-        bounds.add(cand.end)
-    cuts = sorted(bounds)
+    # Heap entries (prio, start, seq, end, blame): the input index
+    # ``seq`` breaks the remaining ties, so ``end`` is never compared.
+    entries = []
+    cuts = {lo, hi}
+    n_cpu = len(cpu_spans)
+    for seq, span in enumerate(spans):
+        sn, sd = span.start.as_integer_ratio()
+        cn, cd = span.cost.as_integer_ratio()
+        s = sn * (grid // sd)
+        e = s + cn * (grid // cd)
+        if e <= lo or s >= hi or e <= s:
+            continue  # outside the interval, or covers nothing
+        s = max(s, lo)
+        e = min(e, hi)
+        cause = "service" if seq < n_cpu else span.kind
+        entries.append((CAUSE_PRIORITY.get(cause, len(CAUSE_PRIORITY)), s,
+                        seq, e, (span.owner, span.layer, cause)))
+        cuts.add(s)
+        cuts.add(e)
+    entries.sort(key=lambda entry: entry[1])
+    cuts = sorted(cuts)
 
-    segments = []
+    transit = ("wire",) + TRANSIT
+    segments = []  # [start, end, (owner, layer, cause)] on the grid
+    heap = []
+    nxt, n = 0, len(entries)
     for a, b in zip(cuts, cuts[1:]):
-        best = None
-        for cand in candidates:
-            if cand.start <= a and cand.end >= b:
-                key = (cand.prio, cand.start, cand.seq)
-                if best is None or key < best[0]:
-                    best = (key, cand)
-        if best is None:
-            owner, layer, cause = "wire", TRANSIT[0], TRANSIT[1]
+        while nxt < n and entries[nxt][1] == a:
+            heappush(heap, entries[nxt])
+            nxt += 1
+        while heap and heap[0][3] <= a:
+            heappop(heap)
+        blame = heap[0][4] if heap else transit
+        if segments and segments[-1][2] == blame:
+            segments[-1][1] = b
         else:
-            cand = best[1]
-            owner, layer, cause = cand.owner, cand.layer, cand.cause
-        if (segments and segments[-1]["owner"] == owner
-                and segments[-1]["layer"] == layer
-                and segments[-1]["cause"] == cause
-                and segments[-1]["end"] == a):
-            segments[-1]["end"] = b
-        else:
-            segments.append({"start": a, "end": b, "owner": owner,
-                             "layer": layer, "cause": cause})
-    return segments
+            segments.append([a, b, blame])
+
+    return [{"start": Fraction(a, grid), "end": Fraction(b, grid),
+             "owner": owner, "layer": layer, "cause": cause}
+            for a, b, (owner, layer, cause) in segments]
 
 
 def attribute_path(path):

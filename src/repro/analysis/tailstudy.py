@@ -177,7 +177,6 @@ def run_cell(topology_args, workload_args, placement, load,
             for p, name in PERCENTILES
         },
         "world_fingerprint": fingerprint,
-        "wallclock_seconds": round(time.monotonic() - cell_start, 3),
     }
     if forensics is not None:
         tracer_view, requests_view = world.tracer, rt
@@ -191,6 +190,9 @@ def run_cell(topology_args, workload_args, placement, load,
         state = (merged["metrics"] if merged is not None
                  else world.metrics.export_state(island=0))
         cell["metrics"] = state_cell_block(state)
+    # Stamped last so the per-cell wall clock covers forensics and
+    # metrics too.
+    cell["wallclock_seconds"] = round(time.monotonic() - cell_start, 3)
     cell["backend"] = backend
     return cell
 

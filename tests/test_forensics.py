@@ -2,13 +2,17 @@
 exactness, bit-passivity of selective tracing, and the forensics CLI."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import __main__ as repro_main
 from repro.analysis import experiments, tailstudy
 from repro.analysis.forensics import (
+    CAUSE_PRIORITY,
     TRANSIT,
     attribute_path,
     cell_forensics,
@@ -127,6 +131,85 @@ def test_contention_beats_queue_beats_service():
     assert causes == [(0.0, "service"), (1.0, "queue"),
                       (2.0, "contention"), (4.0, "queue"),
                       (5.0, "service")]
+
+
+def _oracle_critical_path(cpu_spans, wait_spans, t0, t1):
+    """Brute-force reference for :func:`critical_path`: every elementary
+    sub-interval rescans every candidate in exact rationals."""
+    lo, hi = Fraction(t0), Fraction(t1)
+    if hi <= lo:
+        return []
+    candidates = []
+    spans = [(s, "service", CAUSE_PRIORITY["service"]) for s in cpu_spans]
+    spans += [(w, w.kind, CAUSE_PRIORITY.get(w.kind, len(CAUSE_PRIORITY)))
+              for w in wait_spans]
+    for span, cause, prio in spans:
+        s = Fraction(span.start)
+        e = s + Fraction(span.cost)
+        if e <= lo or s >= hi:
+            continue
+        candidates.append((prio, max(s, lo), len(candidates), min(e, hi),
+                           (span.owner, span.layer, cause)))
+    cuts = sorted({lo, hi} | {c[1] for c in candidates}
+                  | {c[3] for c in candidates})
+    segments = []
+    for a, b in zip(cuts, cuts[1:]):
+        covering = [c for c in candidates if c[1] <= a and c[3] >= b]
+        owner, layer, cause = (min(covering)[4] if covering
+                               else ("wire",) + TRANSIT)
+        if (segments and segments[-1]["end"] == a
+                and (segments[-1]["owner"], segments[-1]["layer"],
+                     segments[-1]["cause"]) == (owner, layer, cause)):
+            segments[-1]["end"] = b
+        else:
+            segments.append({"start": a, "end": b, "owner": owner,
+                             "layer": layer, "cause": cause})
+    return segments
+
+
+# Few distinct values so ties, duplicates and adjacency are common;
+# sub-microsecond and subnormal values keep the exact grid honest.
+_TIMES = st.one_of(
+    st.sampled_from([-1.0, 0.0, 0.1, 0.5, 1.0, 2.0, 3.0, 7.25, 1e-7,
+                     5e-324, 123456.789]),
+    st.floats(-2.0, 12.0, allow_nan=False, allow_infinity=False))
+_COSTS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2e-308, 1e-9, 0.1, 0.5, 1.0, 3.0]),
+    st.floats(0.0, 12.0, allow_nan=False, allow_infinity=False))
+_NAMES = st.sampled_from(["a", "b"])
+_KINDS = st.sampled_from(sorted(CAUSE_PRIORITY) + ["mystery", "gc"])
+
+_CPU = st.builds(lambda start, cost, layer, owner: Span(
+    1, owner, layer, start, cost), _TIMES, _COSTS, _NAMES, _NAMES)
+_WAIT = st.builds(lambda start, cost, kind, layer, owner: WaitSpan(
+    1, owner, layer, kind, start, cost), _TIMES, _COSTS, _KINDS, _NAMES,
+    _NAMES)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_CPU, max_size=8), st.lists(_WAIT, max_size=8),
+       _TIMES, _TIMES)
+# Tied starts at equal priority: the first span in input order wins.
+@example([_cpu(1.0, 2.0, owner="b"), _cpu(1.0, 3.0, owner="a")],
+         [_wait(1.0, 1.0, "mystery"), _wait(1.0, 4.0, "gc")], 0.0, 5.0)
+# Zero-length and subnormal spans, overhanging both ends.
+@example([_cpu(0.5, 0.0), _cpu(0.5, 5e-324)],
+         [_wait(-1.0, 3.0, "queue"), _wait(1.0, 9.0, "contention")],
+         0.5, 2.0)
+@example([_cpu(0.0, 1.0)], [], 1.0, 1.0)
+@example([_cpu(0.0, 1.0)], [], 2.0, 1.0)
+def test_critical_path_matches_the_quadratic_oracle(cpu, waits, t0, t1):
+    path = critical_path(cpu, waits, t0, t1)
+    assert path == _oracle_critical_path(cpu, waits, t0, t1)
+    if t1 <= t0:
+        assert path == []
+        return
+    # Contiguous from t0 to t1, so attribution telescopes exactly.
+    assert path[0]["start"] == Fraction(t0)
+    assert path[-1]["end"] == Fraction(t1)
+    assert all(x["end"] == y["start"] for x, y in zip(path, path[1:]))
+    assert (sum(attribute_path(path).values(), Fraction(0))
+            == Fraction(t1) - Fraction(t0))
 
 
 # ----------------------------------------------------------------------
@@ -366,6 +449,23 @@ def test_tailstudy_forensics_leaves_latencies_untouched(tmp_path):
         p.pop("wallclock_seconds")
         t.pop("wallclock_seconds")
         assert p == t
+
+
+def test_cell_wallclock_covers_forensics(monkeypatch, tmp_path):
+    nap = 0.25
+    real = tailstudy.cell_forensics
+
+    def slow_forensics(*args, **kwargs):
+        time.sleep(nap)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tailstudy, "cell_forensics", slow_forensics)
+    out = tmp_path / "tail.json"
+    assert tailstudy.main(_FAST + ["--forensics", "--sample-every", "2",
+                                   "-o", str(out)]) == 0
+    (cell,) = json.loads(out.read_text())["results"]
+    assert "forensics" in cell
+    assert cell["wallclock_seconds"] >= nap
 
 
 def test_tailstudy_markdown_carries_counts_and_attribution(capsys):
