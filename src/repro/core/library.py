@@ -84,6 +84,7 @@ class ProtocolLibrary:
             shared_buffers=shared_buffers,
             tcp_defaults=tcp_defaults,
             metrics=getattr(host, "metrics", None),
+            scale_mode=host.scale_mode,
         )
         self._input_threads = {}
         #: sid -> kernel FilterHandle for this app's app-managed sessions.

@@ -12,6 +12,8 @@ Fault injection hooks in between serialization and delivery: a
 legacy ``loss_rate``/``corrupt_rate`` scalars are kept as shims that build
 a two-stage plan."""
 
+from heapq import heappush
+
 from repro.faults import BernoulliLoss, Corrupt, FaultPlan
 from repro.sim.sync import Lock
 from repro.sim.process import Timeout
@@ -188,9 +190,8 @@ class EthernetWire:
             sim = self._sim
             when = sim._now + delay_us
             if when > sim._now:
-                sim._heappush(sim._queue, (when, next(sim._seq),
-                                           self._deliver,
-                                           (frame, sender, exclude)))
+                heappush(sim._queue, (when, next(sim._seq), self._deliver,
+                                      (frame, sender, exclude)))
             else:
                 sim._ready.append((self._deliver, (frame, sender, exclude)))
         else:

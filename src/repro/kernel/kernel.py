@@ -19,7 +19,6 @@ from repro.filter.vm import FilterMachine
 from repro.hw.cpu import Priority
 from repro.kernel.ipc import Message
 from repro.net.ethernet import ETHERTYPE_ARP, ETHERTYPE_IP
-from repro.sim.scale import ScaleSimulator
 from repro.stack import dispatch
 from repro.stack.context import ExecutionContext
 from repro.stack.instrument import Layer
@@ -123,7 +122,7 @@ class Kernel:
     """The per-host kernel."""
 
     def __init__(self, sim, cpu, nic, integrated_filter=False, name="kernel",
-                 tracer=None, indexed_demux=None):
+                 tracer=None, indexed_demux=False):
         self.sim = sim
         self.cpu = cpu
         self.params = cpu.params
@@ -138,11 +137,10 @@ class Kernel:
         #: Indexed demux (scale-out worlds): compiled filters hash by
         #: their ``demux_key`` so an arriving frame runs only the one or
         #: two programs that could accept it — O(1) in the number of
-        #: sessions — instead of the whole install list.  The default
-        #: (``indexed_demux=None``) follows the simulator: scale worlds
-        #: index, the paper's small worlds keep the exact linear scan.
-        if indexed_demux is None:
-            indexed_demux = isinstance(sim, ScaleSimulator)
+        #: sessions — instead of the whole install list.  Hosts of scale
+        #: worlds turn it on (``Host(scale_mode=True)``); the paper's
+        #: small worlds keep the exact linear scan, because the 1993
+        #: cost model charges every filter program run.
         self._demux_index = {} if indexed_demux else None
         self._unindexed = []
         self._vm = FilterMachine()

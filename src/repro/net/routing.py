@@ -6,6 +6,8 @@ cache entries from it (Section 3.3).  The table itself is a classic
 longest-prefix-match structure.
 """
 
+from bisect import insort
+
 from repro.net.addr import ip_aton, ip_ntoa, netmask_from_prefix
 
 
@@ -39,6 +41,10 @@ class Route:
         )
 
 
+def _specificity(route):
+    return -route.prefixlen
+
+
 class RouteTable:
     """Longest-prefix-match routing with a generation counter.
 
@@ -62,9 +68,11 @@ class RouteTable:
     def add(self, prefix, prefixlen, iface, gateway=None):
         self.generation += 1
         route = Route(prefix, prefixlen, iface, gateway, generation=self.generation)
-        self._routes.append(route)
-        # Longest prefix first so lookup can take the first match.
-        self._routes.sort(key=lambda r: -r.prefixlen)
+        # Longest prefix first so lookup can take the first match; a
+        # new route goes behind every route at least as specific (what
+        # a stable re-sort after appending would do), without the
+        # re-sort — a star hub gains a thousand routes.
+        insort(self._routes, route, key=_specificity)
         if prefixlen == 24:
             # setdefault: among equal /24s the scan returns the one
             # added first (the sort is stable), so keep that one.

@@ -56,6 +56,7 @@ class InKernelNetwork:
             udp_send_copies=True,
             tcp_defaults=tcp_defaults,
             metrics=getattr(host, "metrics", None),
+            scale_mode=host.scale_mode,
         )
         self._input = Channel(sim, name="%s.netisr" % host.name)
         # One filter per protocol catches all traffic for the host;

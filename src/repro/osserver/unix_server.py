@@ -127,6 +127,7 @@ class UnixServer:
             udp_send_copies=True,
             tcp_defaults=self._tcp_defaults,
             metrics=getattr(host, "metrics", None),
+            scale_mode=host.scale_mode,
         )
         self.fds = FDTable(first_fd=1000)  # server-side descriptor space
         old_port = getattr(self, "_input_port", None)

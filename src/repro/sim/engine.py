@@ -18,6 +18,17 @@ everything appended afterwards lands behind in insertion order, so FIFO
 position alone reproduces exactly the order a single shared-counter
 heap would have produced.  The fast paths change wall-clock time only,
 never the simulated order.
+
+This is the only event engine: the paper's two-host worlds and the
+1000-host scale worlds of :mod:`repro.world.topology` run on the same
+heap and the same dispatch loop.  What scale worlds change lives in the
+components, not here — a world built with ``scale_mode`` gives its
+kernels indexed packet-filter demux and its stacks an armed-session
+tick registry (see :class:`repro.world.topology.World`).  The timer
+fast paths in :mod:`repro.sim.process` and the wire's delivery path in
+:mod:`repro.hw.wire` push ``(when, seq, fn, args)`` tuples onto
+``_queue`` with :func:`heapq.heappush` directly, so they must keep the
+exact tuple shape and sequence draw :meth:`Simulator.call_at` uses.
 """
 
 import heapq
@@ -36,12 +47,8 @@ class Simulator:
     def __init__(self):
         self._now = 0.0
         #: Future work: a heap of (when, seq, fn, args).
+        #: The timer fast paths (process, wire) push onto it directly.
         self._queue = []
-        #: How to push onto ``_queue``.  Subclasses with a different
-        #: future store (see :mod:`repro.sim.wheel`) swap this out; the
-        #: timer fast paths in :mod:`repro.sim.process` call it too, so
-        #: every future item funnels through one replaceable entry point.
-        self._heappush = heapq.heappush
         #: Same-timestamp work: a FIFO of (fn, args) callables and
         #: (None, event) dispatches, all at the current time.
         self._ready = deque()
@@ -86,7 +93,7 @@ class Simulator:
     def call_at(self, when, fn, *args):
         """Run ``fn(*args)`` at absolute simulated time ``when``."""
         if when > self._now:
-            self._heappush(self._queue, (when, next(self._seq), fn, args))
+            heapq.heappush(self._queue, (when, next(self._seq), fn, args))
         elif when == self._now:
             self._ready.append((fn, args))
         else:

@@ -22,7 +22,6 @@ from repro.net.tcp.output import rst_for
 from repro.net.tcp.tcb import TCPError
 from repro.net.tcp.timers import FAST_TICK_US, SLOW_TICK_US
 from repro.sim.process import Timeout
-from repro.sim.scale import ScaleSimulator
 from repro.stack import dispatch
 from repro.stack.instrument import Layer
 from repro.trace import adopt_trace, current_trace, frame_trace
@@ -193,7 +192,7 @@ class NetworkStack:
 
     def __init__(self, ctx, env, name="", udp_send_copies=True,
                  shared_buffers=False, tcp_defaults=None,
-                 port_managers=None, metrics=None):
+                 port_managers=None, metrics=None, scale_mode=False):
         self.ctx = ctx
         self.env = env
         self.name = name
@@ -234,15 +233,15 @@ class NetworkStack:
         self.icmp_echoes_answered = 0
         self.icmp_errors_sent = 0
         self.select_notify = Notifier(ctx.sim, "select")
-        #: Scale-mode armed-session registry.  On the default engine
-        #: (None) the timer loop scans every session each tick, exactly
-        #: as 1993 BSD did — the bit-identical contract.  On a
-        #: :class:`~repro.sim.scale.ScaleSimulator` the loop touches
-        #: only sessions that actually need ticking (a pending delayed
-        #: ACK, an armed countdown timer, a running RTT measurement, or
-        #: keepalive duty), so a world with thousands of mostly-idle
-        #: sessions pays per armed session, not per session.
-        self._armed = {} if isinstance(ctx.sim, ScaleSimulator) else None
+        #: Scale-mode armed-session registry.  By default (None) the
+        #: timer loop scans every session each tick, exactly as 1993 BSD
+        #: did — the bit-identical contract.  With ``scale_mode`` (hosts
+        #: of scale worlds, see :class:`repro.world.topology.World`) the
+        #: loop touches only sessions that actually need ticking (a
+        #: pending delayed ACK, an armed countdown timer, a running RTT
+        #: measurement, or keepalive duty), so a world with thousands of
+        #: mostly-idle sessions pays per armed session, not per session.
+        self._armed = {} if scale_mode else None
         self._slow_ticks = 0
         self._timer_proc = ctx.sim.spawn(self._timer_loop(), name="%s.timers" % name)
 

@@ -36,7 +36,7 @@ class Host:
 
     def __init__(self, sim, wire, ip_addr, platform, name="host",
                  nic_model=LANCE, integrated_filter=False, prefixlen=24,
-                 tracer=None, metrics=None):
+                 tracer=None, metrics=None, scale_mode=False):
         self.sim = sim
         self.name = name
         self.ip = ip_aton(ip_addr)
@@ -46,6 +46,10 @@ class Host:
         self.platform = platform
         self.tracer = tracer
         self.metrics = metrics
+        #: Scale-world host (see :class:`repro.world.topology.World`):
+        #: indexed filter demux in the kernel, armed-session tick
+        #: registries in every protocol stack built on this host.
+        self.scale_mode = scale_mode
         self.cpu = CPU(sim, platform, name="%s.cpu" % name)
         self.nic = NIC(sim, wire, self.mac, model=nic_model, name="%s.nic" % name)
         self.nic.tracer = tracer
@@ -54,6 +58,7 @@ class Host:
             integrated_filter=integrated_filter,
             name="%s.kernel" % name,
             tracer=tracer,
+            indexed_demux=scale_mode,
         )
         self.route_table = RouteTable()
         # Route constructor masks the prefix to its length.

@@ -60,16 +60,23 @@ class Router:
         self.ctx = ExecutionContext(sim, self.cpu, priority=Priority.KERNEL,
                                     name=name)
         self.interfaces = []
+        #: Every interface address, for the per-packet "is this for me?"
+        #: test (a hub router in a star world has a thousand interfaces).
+        self._own_ips = set()
         self.route_table = RouteTable()
         self.forwarded = 0
         self.ttl_expired = 0
         self.no_route = 0
+        #: Datagrams dropped because they exceed the outgoing MTU with
+        #: DF set (no ICMP "fragmentation needed" is modelled).
+        self.cannot_fragment = 0
 
     def attach(self, wire, ip_addr, prefixlen=24, nic_model=LANCE):
         """Add an interface on ``wire``; installs its connected route."""
         iface = RouterInterface(self, wire, ip_addr, prefixlen,
                                 len(self.interfaces), nic_model=nic_model)
         self.interfaces.append(iface)
+        self._own_ips.add(iface.ip)
         self.route_table.add(iface.ip, prefixlen, iface=iface)
         return iface
 
@@ -82,7 +89,7 @@ class Router:
                              gateway=gateway)
 
     def owns_ip(self, addr):
-        return any(iface.ip == addr for iface in self.interfaces)
+        return addr in self._own_ips
 
     # ------------------------------------------------------------------
     # Input
@@ -151,10 +158,15 @@ class Router:
             ident=header.ident, ttl=header.ttl - 1, flags=header.flags,
             frag_off=header.frag_off,
         )
+        try:
+            fragments = ip.fragment(rewritten, ethernet.MTU)
+        except ValueError:  # oversize with DF set
+            self.cannot_fragment += 1
+            return
         next_hop = header.dst if route.is_direct else route.gateway
         self.forwarded += 1
         yield self.ctx.charge(Layer.IP_OUTPUT, p.ip_output_overhead)
-        for frag in ip.fragment(rewritten, ethernet.MTU):
+        for frag in fragments:
             yield from self._output(route.iface, next_hop, frag)
 
     def _local_input(self, in_iface, header, packet):

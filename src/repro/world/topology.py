@@ -27,10 +27,18 @@ a canonical description whose SHA-256 is the world's
 addresses and host ids (they come from process-global counters, so two
 identical worlds built in one process differ there without differing in
 behavior).
+
+Worlds run on the one heap :class:`~repro.sim.engine.Simulator` the
+paper's two-host testbeds use.  What makes a thousand hosts affordable
+is the world's ``scale_mode`` option, on by default here and off for
+:func:`~repro.world.configs.build_network`: every host's kernel indexes
+its packet filters by demux key, so an arriving frame runs only the
+programs that could accept it, and every protocol stack ticks only its
+armed sessions.  Both change how much work the 1993 cost model charges,
+which is why the option is explicit rather than inferred.
 """
 
 import json
-from contextlib import nullcontext
 from dataclasses import dataclass
 from hashlib import sha256
 from math import ceil
@@ -41,7 +49,7 @@ from repro.hw.platforms import DECSTATION_5000_200, GATEWAY_486
 from repro.hw.wire import US_PER_BYTE_10MBIT, EthernetWire
 from repro.metrics import MetricsRegistry
 from repro.net.addr import ip_ntoa
-from repro.sim.scale import ScaleSimulator
+from repro.sim.engine import Simulator
 from repro.trace import TraceRecorder
 from repro.world.configs import CONFIGS, make_placement
 from repro.world.host import Host
@@ -93,7 +101,7 @@ class World:
     the only intended caller.
     """
 
-    def __init__(self, spec, sim=None, tcp_defaults=None):
+    def __init__(self, spec, sim=None, tcp_defaults=None, scale_mode=True):
         self.spec = spec
         placement_spec = CONFIGS[spec.placement]
         if spec.platform == "decstation":
@@ -109,7 +117,9 @@ class World:
             base_platform.scaled(placement_spec.cpu_scale)
             if placement_spec.cpu_scale != 1.0 else base_platform)
         self.router_platform = base_platform.scaled(1.0 / spec.router_speedup)
-        self.sim = sim if sim is not None else ScaleSimulator()
+        self.sim = sim if sim is not None else Simulator()
+        #: Passed to every host: indexed demux + armed-session ticks.
+        self.scale_mode = scale_mode
         self.tracer = TraceRecorder(self.sim)
         self.metrics = MetricsRegistry(self.sim)
         self.tcp_defaults = tcp_defaults
@@ -121,11 +131,6 @@ class World:
         self._host_desc = []
 
     # -- construction helpers ------------------------------------------
-
-    def _domain(self, key):
-        """Event-locality domain scope (no-op on the base engine)."""
-        domain = getattr(self.sim, "domain", None)
-        return domain(key) if domain is not None else nullcontext()
 
     def add_wire(self, name, propagation_us=0.0, us_per_byte=None):
         if us_per_byte is None:
@@ -142,18 +147,17 @@ class World:
         return wire
 
     def add_host(self, wire, ip_addr, name, gateway=None):
-        with self._domain("host:" + name):
-            host = Host(
-                self.sim, wire, ip_addr, self.host_platform, name=name,
-                nic_model=self.nic_model,
-                integrated_filter=self.placement_spec.integrated_filter,
-                tracer=self.tracer, metrics=self.metrics,
-            )
-            if gateway is not None:
-                host.route_table.add("0.0.0.0", 0, iface="en0",
-                                     gateway=gateway)
-            placement = make_placement(self.placement_spec, host,
-                                       tcp_defaults=self.tcp_defaults)
+        host = Host(
+            self.sim, wire, ip_addr, self.host_platform, name=name,
+            nic_model=self.nic_model,
+            integrated_filter=self.placement_spec.integrated_filter,
+            tracer=self.tracer, metrics=self.metrics,
+            scale_mode=self.scale_mode,
+        )
+        if gateway is not None:
+            host.route_table.add("0.0.0.0", 0, iface="en0", gateway=gateway)
+        placement = make_placement(self.placement_spec, host,
+                                   tcp_defaults=self.tcp_defaults)
         self.hosts.append(host)
         self.placements.append(placement)
         self._host_desc.append({
@@ -169,10 +173,6 @@ class World:
         router = Router(self.sim, self.router_platform, name=name)
         self.routers.append(router)
         return router
-
-    def attach(self, router, wire, ip_addr):
-        with self._domain("router:" + router.name):
-            return router.attach(wire, ip_addr)
 
     # -- derived views --------------------------------------------------
 
@@ -252,22 +252,23 @@ def warm_arp(world):
                     cache.insert(ip_addr, mac)
 
 
-def build_world(spec, sim=None, tcp_defaults=None):
+def build_world(spec, sim=None, tcp_defaults=None, scale_mode=True):
     """Expand ``spec`` into a :class:`World`, deterministically."""
     if spec.hosts < 1:
         raise ValueError("a world needs at least one host")
-    if spec.kind == "star":
-        return _build_star(spec, sim, tcp_defaults)
-    if spec.kind == "fattree":
-        return _build_fattree(spec, sim, tcp_defaults)
-    if spec.kind == "wan":
-        return _build_wan(spec, sim, tcp_defaults)
+    builders = {"star": _build_star, "fattree": _build_fattree,
+                "wan": _build_wan}
+    if spec.kind in builders:
+        world = World(spec, sim=sim, tcp_defaults=tcp_defaults,
+                      scale_mode=scale_mode)
+        builders[spec.kind](world)
+        return world
     raise ValueError("unknown topology kind %r (expected one of %s)"
                      % (spec.kind, ", ".join(TOPOLOGY_KINDS)))
 
 
-def _build_star(spec, sim, tcp_defaults):
-    world = World(spec, sim=sim, tcp_defaults=tcp_defaults)
+def _build_star(world):
+    spec = world.spec
     rng = Random(spec.seed)
     hub = world.add_router("hub")
     for i in range(spec.hosts):
@@ -275,13 +276,12 @@ def _build_star(spec, sim, tcp_defaults):
         propagation = rng.uniform(*spec.leaf_propagation_us)
         wire = world.add_wire("leaf%d" % i, propagation_us=propagation)
         gateway = base + ".254"
-        world.attach(hub, wire, gateway)
+        hub.attach(wire, gateway)
         world.add_host(wire, base + ".1", "h%03d" % i, gateway=gateway)
-    return world
 
 
-def _build_fattree(spec, sim, tcp_defaults):
-    world = World(spec, sim=sim, tcp_defaults=tcp_defaults)
+def _build_fattree(world):
+    spec = world.spec
     rng = Random(spec.seed)
     edges = ceil(spec.hosts / spec.hosts_per_edge)
     spines = max(1, min(spec.spines, edges))
@@ -297,7 +297,7 @@ def _build_fattree(spec, sim, tcp_defaults):
         edge = world.add_router("edge%d" % e)
         edge_routers.append(edge)
         gateway = base + ".254"
-        world.attach(edge, wire, gateway)
+        edge.attach(wire, gateway)
         on_this_edge = min(spec.hosts_per_edge, spec.hosts - placed)
         for j in range(on_this_edge):
             world.add_host(wire, base + ".%d" % (j + 1),
@@ -309,8 +309,8 @@ def _build_fattree(spec, sim, tcp_defaults):
             up_wire = world.add_wire(
                 "up%d-%d" % (e, s),
                 propagation_us=rng.uniform(*spec.leaf_propagation_us))
-            world.attach(edge, up_wire, up_base + ".1")
-            world.attach(spine_routers[s], up_wire, up_base + ".2")
+            edge.attach(up_wire, up_base + ".1")
+            spine_routers[s].attach(up_wire, up_base + ".2")
             uplink[(e, s)] = (up_base + ".1", up_base + ".2")
     # Cross-edge routes stripe destination subnets over the spines, so
     # both directions of a flow may ride different spines (ECMP-ish but
@@ -326,11 +326,10 @@ def _build_fattree(spec, sim, tcp_defaults):
         for f in range(edges):
             spine_routers[s].add_route(_host_subnet(f) + ".0", 24,
                                        uplink[(f, s)][0])
-    return world
 
 
-def _build_wan(spec, sim, tcp_defaults):
-    world = World(spec, sim=sim, tcp_defaults=tcp_defaults)
+def _build_wan(world):
+    spec = world.spec
     rng = Random(spec.seed)
     sites = max(1, min(spec.sites, spec.hosts))
     site_routers = []
@@ -342,7 +341,7 @@ def _build_wan(spec, sim, tcp_defaults):
         router = world.add_router("site%d" % i)
         site_routers.append(router)
         gateway = base + ".254"
-        world.attach(router, wire, gateway)
+        router.attach(wire, gateway)
         site_hosts = spec.hosts // sites + (1 if i < spec.hosts % sites else 0)
         for j in range(site_hosts):
             world.add_host(wire, base + ".%d" % (j + 1),
@@ -354,8 +353,8 @@ def _build_wan(spec, sim, tcp_defaults):
         base = _infra_subnet(i)
         wire = world.add_wire(
             "haul%d" % i, propagation_us=rng.uniform(*spec.wan_propagation_us))
-        world.attach(site_routers[i], wire, base + ".1")
-        world.attach(site_routers[i + 1], wire, base + ".2")
+        site_routers[i].attach(wire, base + ".1")
+        site_routers[i + 1].attach(wire, base + ".2")
         right_ip[i] = base + ".2"   # site i's next hop toward i+1
         left_ip[i + 1] = base + ".1"  # site i+1's next hop toward i
     for i in range(sites):
@@ -364,4 +363,3 @@ def _build_wan(spec, sim, tcp_defaults):
                 continue
             gateway = right_ip[i] if j > i else left_ip[i]
             site_routers[i].add_route(_host_subnet(j) + ".0", 24, gateway)
-    return world

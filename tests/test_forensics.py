@@ -27,7 +27,6 @@ from repro.analysis.tracing import (
     placement_ledgers,
 )
 from repro.apps.ttcp import ttcp
-from repro.sim.engine import Simulator
 from repro.trace import RequestTracer, Span, WaitSpan
 from repro.trace.request import _mix
 from repro.world.configs import build_network
@@ -220,9 +219,9 @@ _WSPEC = dict(proto="udp", seed=3, rate_per_client=100.0, fanout=2,
               clients=2, window_us=300_000.0, drain_us=200_000.0)
 
 
-def _forensic_run(sample_every=2, sim=None, trace=True):
+def _forensic_run(sample_every=2, scale_mode=True, trace=True):
     world = build_world(TopologySpec(kind="star", hosts=4, seed=3),
-                        sim=sim)
+                        scale_mode=scale_mode)
     warm_arp(world)
     rt = None
     if trace:
@@ -256,22 +255,19 @@ def test_selective_tracing_is_bit_passive_on_the_workload():
     assert tuple(traced.latencies_us) == tuple(plain.latencies_us)
 
 
-@pytest.mark.parametrize("engine", [None, Simulator],
+@pytest.mark.parametrize("scale_mode", [True, False],
                          ids=["scale", "base"])
-def test_trace_ids_survive_either_engine(engine):
-    """CalendarQueue dispatch and per-host domain batching (the scale
-    engine) and the plain heap engine each run the traced workload
-    byte-identically to their own untraced run, sample the same request
-    ids, and keep every binding consistent."""
-    def make_sim():
-        return None if engine is None else engine()
-
-    world, rt, traced = _forensic_run(sample_every=2, sim=make_sim())
-    _w, _rt, plain = _forensic_run(sim=make_sim(), trace=False)
+def test_trace_ids_survive_either_engine(scale_mode):
+    """With the scale world option (indexed demux, armed-session ticks)
+    and without it, the traced workload runs byte-identically to its own
+    untraced run, samples the same request ids, and keeps every binding
+    consistent."""
+    world, rt, traced = _forensic_run(sample_every=2, scale_mode=scale_mode)
+    _w, _rt, plain = _forensic_run(scale_mode=scale_mode, trace=False)
     assert tuple(traced.latencies_us) == tuple(plain.latencies_us)
     # Sampling is a pure function of (id, seed): the records hold
     # exactly the ids the head-based predicate picks, regardless of how
-    # the engine dispatched the sends.
+    # the world option dispatched the sends.
     assert rt.records
     assert all(rt.sampled(r) for r in rt.records)
     assert rt.requests_sampled == len(rt.records)
@@ -283,7 +279,7 @@ def test_trace_ids_survive_either_engine(engine):
         assert {s.trace_id for s in cpu_spans} <= owned
         assert {w.trace_id for w in wait_spans} <= owned
     # And the whole forensic block is deterministic run to run.
-    world2, rt2, _res2 = _forensic_run(sample_every=2, sim=make_sim())
+    world2, rt2, _res2 = _forensic_run(sample_every=2, scale_mode=scale_mode)
     assert (json.dumps(cell_forensics(world.tracer, rt), sort_keys=True)
             == json.dumps(cell_forensics(world2.tracer, rt2),
                           sort_keys=True))

@@ -1,159 +1,41 @@
-"""The scale-out engine: calendar-queue store and locality dispatch.
+"""Scale mode: the explicit world option behind 1000-host worlds.
 
-Two contracts are pinned here.  First, the timer wheel: dense, sparse,
-and far-future timers must fire in *exactly* the order the old linear
-heap store produced — ``(when, seq)`` order, ties broken by insertion
-sequence — under every push/pop interleaving.  Second, the
-:class:`~repro.sim.scale.ScaleSimulator`: it must run real protocol
-worlds to the same answers (every byte moved), inherit domains across
-spawns, keep each same-instant batch stably grouped by host, and stay
-bit-deterministic run to run.
+There is one event engine; what a scale world changes is per host — an
+indexed packet-filter demux in the kernel and an armed-session tick
+registry in every protocol stack.  Pinned here: the option reaches every
+host of a scale world and no host of a paper world, timers fire in the
+same order either way, real protocol worlds run to the same answers
+(every byte moved) and stay bit-deterministic run to run, the indexed
+demux runs only the programs that could accept a frame, and the tick
+registry parks quiescent sessions without losing idle time.
 """
-
-import heapq
-import random
-
-import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.apps.ttcp import ttcp
 from repro.core.sockets import SOCK_STREAM
-from repro.sim.engine import Simulator
 from repro.sim.process import Timeout
-from repro.sim.scale import ScaleSimulator
-from repro.sim.wheel import CalendarQueue
 from repro.world.configs import build_network
+from repro.world.topology import TopologySpec, build_world
 
 
-# ----------------------------------------------------------------------
-# CalendarQueue vs the linear heap store
-# ----------------------------------------------------------------------
-
-def _drain(queue):
-    out = []
-    while queue:
-        out.append(queue.pop())
-    return out
+def _pair(placement="mach25", scale_mode=True):
+    """Two hosts through a star hub: ``(world, placement_a, placement_b)``."""
+    world = build_world(TopologySpec(kind="star", hosts=2,
+                                     placement=placement, seed=5),
+                        scale_mode=scale_mode)
+    return world, world.placements[0], world.placements[1]
 
 
-def _reference_order(items):
-    heap = []
-    for item in items:
-        heapq.heappush(heap, item)
-    out = []
-    while heap:
-        out.append(heapq.heappop(heap))
-    return out
+def test_scale_mode_reaches_every_host_of_a_scale_world_only():
+    world = build_world(TopologySpec(kind="star", hosts=3, seed=7))
+    assert world.scale_mode
+    for host, placement in zip(world.hosts, world.placements):
+        assert host.kernel._demux_index is not None
+        assert placement._backend.stack._armed is not None
+    net, pa, pb = build_network("mach25")
+    for host, placement in zip(net.hosts, (pa, pb)):
+        assert host.kernel._demux_index is None
+        assert placement._backend.stack._armed is None
 
-
-def _items(whens):
-    return [(when, seq, None, ()) for seq, when in enumerate(whens)]
-
-
-@pytest.mark.parametrize("pattern", ["dense", "sparse", "far_future", "mixed"])
-def test_wheel_matches_heap_order(pattern):
-    rng = random.Random(hash(pattern) & 0xFFFF)
-    if pattern == "dense":
-        # Hundreds of timers inside a couple of bucket widths, with
-        # heavy time ties to exercise the sequence tie-break.
-        whens = [rng.choice([0.5, 1.0, 1.5, 2.0]) * rng.randint(1, 60)
-                 for _ in range(500)]
-    elif pattern == "sparse":
-        whens = [rng.uniform(0, 5_000_000.0) for _ in range(200)]
-    elif pattern == "far_future":
-        # Everything lands in the overflow heap and must decant cleanly.
-        whens = [rng.uniform(1e9, 2e9) for _ in range(300)]
-    else:
-        whens = ([rng.uniform(0, 100.0) for _ in range(200)]
-                 + [rng.uniform(1e6, 1e7) for _ in range(100)]
-                 + [500_000.0] * 50)
-    items = _items(whens)
-    wheel = CalendarQueue()
-    for item in items:
-        CalendarQueue.heappush(wheel, item)
-    assert _drain(wheel) == _reference_order(items)
-
-
-def test_wheel_interleaved_push_pop_matches_heap():
-    rng = random.Random(7)
-    wheel = CalendarQueue(width=16.0, nbuckets=64)
-    heap = []
-    seq = 0
-    popped_wheel, popped_heap = [], []
-    for _ in range(3000):
-        if heap and rng.random() < 0.45:
-            popped_wheel.append(wheel.pop())
-            popped_heap.append(heapq.heappop(heap))
-        else:
-            when = rng.choice([
-                rng.uniform(0, 50.0),          # current bucket
-                rng.uniform(0, 2_000.0),       # elsewhere in the ring
-                rng.uniform(1e6, 1e8),         # overflow
-            ])
-            item = (when, seq, None, ())
-            seq += 1
-            wheel.push(item)
-            heapq.heappush(heap, item)
-        assert len(wheel) == len(heap)
-    popped_wheel.extend(_drain(wheel))
-    while heap:
-        popped_heap.append(heapq.heappop(heap))
-    assert popped_wheel == popped_heap
-
-
-@given(st.lists(
-    st.one_of(
-        st.floats(min_value=0.0, max_value=1e9, allow_nan=False,
-                  allow_infinity=False),
-        st.none(),                       # a pop, if anything is queued
-    ),
-    max_size=200))
-@settings(deadline=None, max_examples=60)
-def test_wheel_property_any_interleaving_matches_heap(ops):
-    wheel = CalendarQueue(width=8.0, nbuckets=32)
-    heap = []
-    seq = 0
-    for op in ops:
-        if op is None:
-            if heap:
-                assert wheel.pop() == heapq.heappop(heap)
-        else:
-            item = (op, seq, None, ())
-            seq += 1
-            wheel.push(item)
-            heapq.heappush(heap, item)
-        assert len(wheel) == len(heap)
-        if heap:
-            assert wheel.peek_when() == heap[0][0]
-    drained = _drain(wheel)
-    expected = []
-    while heap:
-        expected.append(heapq.heappop(heap))
-    assert drained == expected
-
-
-def test_wheel_push_behind_window_rebases():
-    wheel = CalendarQueue(width=10.0, nbuckets=8)
-    wheel.push((1e6, 0, None, ()))      # anchors the window far out
-    wheel.push((5.0, 1, None, ()))      # behind the window: must rebase
-    wheel.push((2e6, 2, None, ()))
-    assert wheel.peek_when() == 5.0
-    assert [item[0] for item in _drain(wheel)] == [5.0, 1e6, 2e6]
-
-
-def test_wheel_peek_is_nondestructive():
-    wheel = CalendarQueue()
-    wheel.push((3.0, 0, None, ()))
-    wheel.push((1.0, 1, None, ()))
-    assert wheel.peek_when() == 1.0
-    assert wheel[0][0] == 1.0
-    assert len(wheel) == 2
-    assert wheel.pop()[0] == 1.0
-
-
-# ----------------------------------------------------------------------
-# ScaleSimulator semantics
-# ----------------------------------------------------------------------
 
 def test_scale_sim_timer_order_matches_default_engine():
     def record(sim, log, tag, delays):
@@ -163,67 +45,31 @@ def test_scale_sim_timer_order_matches_default_engine():
                 log.append((sim.now, tag))
         return proc()
 
-    def run(sim_cls):
-        sim = sim_cls()
+    def run(scale_mode):
+        sim = _pair(scale_mode=scale_mode)[0].sim
         log = []
-        # Distinct deadlines only: same-instant batches may legally
-        # regroup on the scale engine, but distinct times never reorder.
+        # Same-instant ties included: both modes dispatch a batch in
+        # sequence order, so ties never regroup.
         sim.spawn(record(sim, log, "a", [1.0, 2.5, 100.0, 1e6]))
         sim.spawn(record(sim, log, "b", [1.5, 2.5, 99.0, 2e6]))
-        sim.run()
+        sim.spawn(record(sim, log, "c", [1.0, 3.0, 99.0, 1e6]))
+        sim.run(until=3e6)
         return log
 
-    assert run(Simulator) == run(ScaleSimulator)
-
-
-def test_scale_sim_domain_inheritance():
-    sim = ScaleSimulator()
-    seen = {}
-
-    def child():
-        seen["child"] = sim.current.domain
-        yield Timeout(1.0)
-
-    def parent():
-        seen["parent"] = sim.current.domain
-        sim.spawn(child())
-        yield Timeout(1.0)
-
-    with sim.domain("host7"):
-        sim.spawn(parent())
-    sim.run()
-    assert seen == {"parent": "host7", "child": "host7"}
-
-
-def test_scale_sim_localizes_same_instant_batches():
-    sim = ScaleSimulator()
-    log = []
-
-    def ticker(tag):
-        yield Timeout(10.0)
-        log.append(tag)
-
-    # Spawn interleaved across two domains; all four timers fire at the
-    # same instant, so the batch must regroup by domain (first-seen
-    # order) instead of round-robin interleaving.
-    for i, dom in enumerate(["a", "b", "a", "b"]):
-        with sim.domain(dom):
-            sim.spawn(ticker("%s%d" % (dom, i)))
-    sim.run()
-    assert log == ["a0", "a2", "b1", "b3"]
+    assert run(True) == run(False)
 
 
 def test_scale_sim_runs_a_real_world_to_the_same_bytes():
-    net, pa, pb = build_network("mach25", sim=ScaleSimulator())
-    result = ttcp(net, pb, pa, total_bytes=64 * 1024, rcvbuf_kb=24)
+    world, pa, pb = _pair()
+    result = ttcp(world, pb, pa, total_bytes=64 * 1024, rcvbuf_kb=24)
     assert result.bytes_moved == 64 * 1024
     assert 100 < result.throughput_kbs < 1250
 
 
 def test_scale_sim_is_deterministic_run_to_run():
     def run():
-        net, pa, pb = build_network("library-shm", sim=ScaleSimulator())
-        result = ttcp(net, pb, pa, total_bytes=32 * 1024, rcvbuf_kb=24)
+        world, pa, pb = _pair("library-shm")
+        result = ttcp(world, pb, pa, total_bytes=32 * 1024, rcvbuf_kb=24)
         return (result.bytes_moved, result.elapsed_us, result.throughput_kbs)
 
     assert run() == run()
@@ -240,11 +86,9 @@ from repro.filter.compile import (
     compile_arp_filter, compile_session_filter)
 from repro.filter.insn import Insn, Op
 from repro.filter.vm import validate
-from repro.hw.platforms import DECSTATION_5000_200
 from repro.kernel.kernel import QueueDelivery
 from repro.net.addr import ip_aton
 from repro.sim.sync import Channel
-from repro.world.network import Network
 
 
 def _udp_frame(src_ip, dst_ip, sport, dport):
@@ -255,15 +99,20 @@ def _udp_frame(src_ip, dst_ip, sport, dport):
     return eth + ip + udp
 
 
+#: The lone host of a one-host star world.
+HOST_IP = "10.1.0.1"
+
+
 def _scale_host():
-    net = Network(sim=ScaleSimulator())
-    host = net.add_host("10.0.0.1", DECSTATION_5000_200)
+    world = build_world(TopologySpec(kind="star", hosts=1))
+    host = world.hosts[0]
+    assert host.ip == ip_aton(HOST_IP)
     assert host.kernel._demux_index is not None
-    return net, host
+    return world, host
 
 
 def test_indexed_demux_selects_only_the_matching_session():
-    _net, host = _scale_host()
+    _world, host = _scale_host()
     kernel = host.kernel
     handles = [
         kernel.install_filter(
@@ -271,14 +120,14 @@ def test_indexed_demux_selects_only_the_matching_session():
             QueueDelivery(Channel(host.sim)))
         for i in range(100)
     ]
-    frame = _udp_frame("10.0.0.2", "10.0.0.1", 555, 20050)
+    frame = _udp_frame("10.0.0.2", HOST_IP, 555, 20050)
     session_cands = [h for h in kernel._demux_candidates(frame)
                      if getattr(h.program, "demux_key", (None,))[0] == "sess"]
     assert session_cands == [handles[50]]
 
 
 def test_indexed_demux_exact_session_beats_wildcard():
-    _net, host = _scale_host()
+    _world, host = _scale_host()
     kernel = host.kernel
     wildcard = kernel.install_filter(
         compile_session_filter(6, host.ip, 80),
@@ -288,7 +137,7 @@ def test_indexed_demux_exact_session_beats_wildcard():
                                remote_ip=ip_aton("10.0.0.2"),
                                remote_port=555),
         QueueDelivery(Channel(host.sim)), front=True)
-    frame = _udp_frame("10.0.0.2", "10.0.0.1", 555, 80)
+    frame = _udp_frame("10.0.0.2", HOST_IP, 555, 80)
     # _udp_frame writes proto 17; patch to TCP for this check.
     frame = frame[:23] + b"\x06" + frame[24:]
     cands = kernel._demux_candidates(frame)
@@ -296,7 +145,7 @@ def test_indexed_demux_exact_session_beats_wildcard():
 
 
 def test_indexed_demux_routes_arp_to_the_arp_bucket():
-    _net, host = _scale_host()
+    _world, host = _scale_host()
     arp_frame = b"\x02\x00" * 6 + b"\x08\x06" + b"\x00" * 28
     cands = host.kernel._demux_candidates(arp_frame)
     assert cands, "ARP filter installed by ArpService must be a candidate"
@@ -306,23 +155,23 @@ def test_indexed_demux_routes_arp_to_the_arp_bucket():
 
 
 def test_indexed_demux_falls_back_to_unindexed_programs():
-    _net, host = _scale_host()
+    _world, host = _scale_host()
     kernel = host.kernel
     accept_all = validate([Insn(Op.RET, k=0xFFFF)])  # plain list, no key
     handle = kernel.install_filter(accept_all, QueueDelivery(Channel(host.sim)))
-    frame = _udp_frame("10.0.0.2", "10.0.0.1", 1, 2)
+    frame = _udp_frame("10.0.0.2", HOST_IP, 1, 2)
     assert handle in kernel._demux_candidates(frame)
     assert kernel.remove_filter(handle)
     assert handle not in kernel._demux_candidates(frame)
 
 
 def test_indexed_demux_remove_filter_cleans_the_index():
-    _net, host = _scale_host()
+    _world, host = _scale_host()
     kernel = host.kernel
     handle = kernel.install_filter(
         compile_session_filter(17, host.ip, 9999),
         QueueDelivery(Channel(host.sim)))
-    frame = _udp_frame("10.0.0.2", "10.0.0.1", 1, 9999)
+    frame = _udp_frame("10.0.0.2", HOST_IP, 1, 9999)
     assert handle in kernel._demux_candidates(frame)
     assert kernel.remove_filter(handle)
     assert handle not in kernel._demux_candidates(frame)
@@ -334,24 +183,25 @@ def test_indexed_demux_runs_constant_programs_under_filter_load():
     only a couple of programs per arriving frame where the linear scan
     runs most of the install list."""
 
-    def run(sim=None):
-        net, pa, pb = build_network("mach25", sim=sim)
-        for host in net.hosts:
+    def run(scale_mode):
+        world, pa, pb = _pair(scale_mode=scale_mode)
+        for host in world.hosts:
             for i in range(150):
                 # front=True puts the noise ahead of the stack's own
                 # protocol filters, where a linear scan must wade
                 # through it for every arriving frame.
                 host.kernel.install_filter(
                     compile_session_filter(17, host.ip, 30000 + i),
-                    QueueDelivery(Channel(net.sim)), front=True)
-        before = sum(h.kernel._vm.insns_executed for h in net.hosts)
-        result = protolat(net, pb, pa, proto="udp", message_size=64, rounds=5)
-        after = sum(h.kernel._vm.insns_executed for h in net.hosts)
+                    QueueDelivery(Channel(world.sim)), front=True)
+        before = sum(h.kernel._vm.insns_executed for h in world.hosts)
+        result = protolat(world, pb, pa, proto="udp", message_size=64,
+                          rounds=5)
+        after = sum(h.kernel._vm.insns_executed for h in world.hosts)
         assert result.rounds == 5
         return after - before
 
-    linear = run()
-    indexed = run(sim=ScaleSimulator())
+    linear = run(scale_mode=False)
+    indexed = run(scale_mode=True)
     assert indexed * 10 < linear
 
 
@@ -360,8 +210,8 @@ def test_indexed_demux_runs_constant_programs_under_filter_load():
 # ----------------------------------------------------------------------
 
 def test_scale_tick_registry_parks_quiescent_sessions():
-    net, pa, pb = build_network("mach25", sim=ScaleSimulator())
-    result = protolat(net, pb, pa, proto="tcp", message_size=200, rounds=3)
+    world, pa, pb = _pair()
+    result = protolat(world, pb, pa, proto="tcp", message_size=200, rounds=3)
     assert result.rounds == 3
     stacks = [pa._backend.stack, pb._backend.stack]
     assert all(s._armed is not None for s in stacks)
@@ -369,14 +219,14 @@ def test_scale_tick_registry_parks_quiescent_sessions():
     # gone quiescent (or into TIME_WAIT, whose 2MSL timer keeps it
     # armed until expiry), so the armed registries must be far smaller
     # than "every session, forever".
-    net.sim.run(until=net.sim.now + 5_000_000)
+    world.sim.run(until=world.sim.now + 5_000_000)
     for stack in stacks:
         for session in stack._armed:
             assert stack._needs_ticks(session.conn)
 
 
 def test_scale_tick_registry_credits_idle_time_on_rearm():
-    net, pa, pb = build_network("mach25", sim=ScaleSimulator())
+    world, pa, pb = _pair()
     # Establish a connection, let it idle long enough to be parked,
     # then send again: the transfer must still complete (and the
     # re-arm credits the skipped slow ticks into t_idle first).
@@ -399,7 +249,7 @@ def test_scale_tick_registry_credits_idle_time_on_rearm():
 
     def client():
         fd = yield from api_b.socket(SOCK_STREAM)
-        yield from api_b.connect(fd, (net.hosts[0].ip, 7070))
+        yield from api_b.connect(fd, (world.hosts[0].ip, 7070))
         yield from api_b.send_all(fd, b"abc")
         # Idle well past several slow ticks: the session parks.
         yield Timeout(10_000_000.0)
@@ -407,5 +257,5 @@ def test_scale_tick_registry_credits_idle_time_on_rearm():
         yield from api_b.close(fd)
         return b"ok"
 
-    got, _ = net.run_all([server(), client()])
+    got, _ = world.run_all([server(), client()])
     assert got == b"abcdef"
