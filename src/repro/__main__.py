@@ -189,7 +189,6 @@ def cmd_profile(args):
     import pstats
 
     from repro.analysis import bench_json, bench_wallclock
-    from repro.stack import dispatch
 
     def tail_cell():
         from repro.analysis import tailstudy
@@ -206,22 +205,16 @@ def cmd_profile(args):
               % (args.harness, ", ".join(sorted(targets))), file=sys.stderr)
         return 2
 
-    harness = targets[args.harness]
-    previous = dispatch.set_train_dispatch(not args.legacy)
     profiler = cProfile.Profile()
-    try:
-        profiler.enable()
-        harness()
-        profiler.disable()
-    finally:
-        dispatch.set_train_dispatch(previous)
+    profiler.enable()
+    targets[args.harness]()
+    profiler.disable()
 
     stats = pstats.Stats(profiler)
     total_calls = stats.total_calls
     rows = sorted(stats.stats.items(), key=lambda kv: kv[1][3], reverse=True)
-    mode = "legacy" if args.legacy else "batched"
-    print("### cProfile — %s (%s dispatch, %s total calls)"
-          % (args.harness, mode, "{:,}".format(total_calls)))
+    print("### cProfile — %s (%s total calls)"
+          % (args.harness, "{:,}".format(total_calls)))
     print()
     print("| ncalls | tottime s | cumtime s | function |")
     print("|---|---|---|---|")
@@ -346,9 +339,6 @@ def main(argv=None):
                                 "for the seeded 2-site WAN tail-study cell")
     p_profile.add_argument("--top", type=int, default=20,
                            help="rows in the table (default %(default)s)")
-    p_profile.add_argument("--legacy", action="store_true",
-                           help="profile with packet-train dispatch off "
-                                "(REPRO_TRAIN_DISPATCH=0 semantics)")
 
     p_forensics = sub.add_parser(
         "forensics", help="render a tailstudy --forensics document")

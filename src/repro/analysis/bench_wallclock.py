@@ -2,13 +2,9 @@
 
 ``BENCH.json`` pins the *simulated* metrics (deterministic, drift
 gated); this runner tracks what the simulator costs to run.  Each bench
-harness runs twice per mode — once clean for wall clock, once under
+harness runs twice — once clean for wall clock, once under
 ``sys.setprofile`` for a call census (the profiler's overhead must not
-pollute the timing) — in both dispatch modes:
-
-* ``batched`` — packet-train dispatch on (the default),
-* ``legacy``  — ``REPRO_TRAIN_DISPATCH=0`` semantics: per-packet
-  dispatch with per-charge context switches.
+pollute the timing).
 
 The census counts both ``call`` events (every Python function entry
 *and* every generator-frame resume — the coroutine simulator's unit of
@@ -19,13 +15,8 @@ clock is not (the CI step reports it without gating on it)::
 
     python -m repro.analysis.bench_wallclock -o BENCH_WALLCLOCK.json
 
-**Measuring against the pre-optimization tree.**  The legacy flag is a
-faithful A/B for *dispatch shape* (train vs per-packet), but most of
-this PR's interpreter-level wins — fused charge prologues, inlined
-sequence arithmetic, the allocation-free CPU hand-off — shrink both
-modes, so the flag ratio understates the speedup.  The headline
-``vs_baseline`` block therefore compares the batched census against a
-frozen measurement of the *pre-PR tree*:
+**Measuring against an older tree.**  The ``vs_baseline`` block
+compares the census against a frozen measurement of an older tree:
 
 * ``--baseline-json PATH`` — output of ``--census-only`` run against a
   checkout of the base commit **with the same interpreter** (CI does
@@ -38,8 +29,7 @@ frozen measurement of the *pre-PR tree*:
   between interpreter versions).
 
 ``--min-call-reduction X`` gates on the ``vs_baseline`` ratio and
-fails loudly when no usable baseline is available — it never silently
-falls back to the flag A/B ratio.
+fails loudly when no usable baseline is available.
 
 ``--parallel-study`` appends a single-vs-parallel wall-clock comparison
 of one seeded two-site WAN tail-study cell on the island backend
@@ -56,12 +46,7 @@ import time
 
 from repro.analysis import bench_json
 
-try:
-    from repro.stack import dispatch
-except ImportError:  # pre-PR tree (census-only runs): no dispatch module
-    dispatch = None
-
-SCHEMA = "repro-bench-wallclock/1"
+SCHEMA = "repro-bench-wallclock/2"
 CENSUS_SCHEMA = "repro-bench-census/1"
 
 #: Committed pinned baseline (relative to the repository root).
@@ -115,7 +100,7 @@ def _count_calls(fn):
 
 
 def _measure_harness(harness):
-    """(seconds, python_calls, c_calls) for one harness, current mode."""
+    """(seconds, python_calls, c_calls) for one harness."""
     begin = time.perf_counter()
     harness()
     seconds = time.perf_counter() - begin
@@ -124,9 +109,9 @@ def _measure_harness(harness):
 
 
 def census():
-    """One whole-suite call census in the tree's default dispatch mode.
+    """One whole-suite call census.
 
-    This is the half that must keep working against the pre-PR tree:
+    This is the half that must keep working against older trees:
     CI checks out the base commit in a worktree and runs this file
     there with ``--census-only`` to produce the baseline honestly, with
     the same interpreter that measures the optimized tree.
@@ -147,7 +132,7 @@ def census():
 
 
 def load_baseline(path=None):
-    """The frozen pre-PR census to compare against, or (None, reason).
+    """The frozen census to compare against, or (None, reason).
 
     An explicit ``path`` is trusted (CI measured it with this very
     interpreter).  The committed pinned file is only used when the
@@ -172,7 +157,7 @@ def load_baseline(path=None):
 
 def measure(log=None, parallel_study=False, baseline=None,
             baseline_reason=None):
-    """Run every bench harness in both modes; return the document."""
+    """Run every bench harness; return the document."""
     def say(message):
         if log is not None:
             log(message)
@@ -182,54 +167,28 @@ def measure(log=None, parallel_study=False, baseline=None,
         "python": sys.version.split()[0],
         "harnesses": {},
     }
-    total = {"batched": {"seconds": 0.0, "python_calls": 0, "c_calls": 0},
-             "legacy": {"seconds": 0.0, "python_calls": 0, "c_calls": 0}}
+    total = {"seconds": 0.0, "python_calls": 0, "c_calls": 0}
     for name, harness in _harnesses():
-        entry = {}
-        for mode, enabled in (("batched", True), ("legacy", False)):
-            say("%s: %s ..." % (mode, name))
-            previous = dispatch.set_train_dispatch(enabled)
-            try:
-                seconds, py_calls, c_calls = _measure_harness(harness)
-            finally:
-                dispatch.set_train_dispatch(previous)
-            entry[mode] = {"seconds": round(seconds, 3),
-                           "python_calls": py_calls,
-                           "c_calls": c_calls,
-                           "total_calls": py_calls + c_calls}
-            total[mode]["seconds"] += seconds
-            total[mode]["python_calls"] += py_calls
-            total[mode]["c_calls"] += c_calls
-        entry["call_reduction"] = round(
-            entry["legacy"]["total_calls"]
-            / max(1, entry["batched"]["total_calls"]), 3)
-        entry["speedup"] = round(
-            entry["legacy"]["seconds"]
-            / max(1e-9, entry["batched"]["seconds"]), 3)
-        doc["harnesses"][name] = entry
-    for mode in total:
-        total[mode]["seconds"] = round(total[mode]["seconds"], 3)
-        total[mode]["total_calls"] = (total[mode]["python_calls"]
-                                      + total[mode]["c_calls"])
-    doc["totals"] = {
-        "batched": total["batched"],
-        "legacy": total["legacy"],
-        "call_reduction": round(
-            total["legacy"]["total_calls"]
-            / max(1, total["batched"]["total_calls"]), 3),
-        "speedup": round(
-            total["legacy"]["seconds"]
-            / max(1e-9, total["batched"]["seconds"]), 3),
-    }
+        say("%s ..." % name)
+        seconds, py_calls, c_calls = _measure_harness(harness)
+        doc["harnesses"][name] = {"seconds": round(seconds, 3),
+                                  "python_calls": py_calls,
+                                  "c_calls": c_calls,
+                                  "total_calls": py_calls + c_calls}
+        total["seconds"] += seconds
+        total["python_calls"] += py_calls
+        total["c_calls"] += c_calls
+    total["seconds"] = round(total["seconds"], 3)
+    total["total_calls"] = total["python_calls"] + total["c_calls"]
+    doc["totals"] = total
     if baseline is not None:
-        batched_total = total["batched"]["total_calls"]
         doc["vs_baseline"] = {
             "ref": baseline.get("ref"),
             "python": baseline.get("python"),
             "baseline_total_calls": baseline["total_calls"],
-            "batched_total_calls": batched_total,
+            "total_calls": total["total_calls"],
             "call_reduction": round(
-                baseline["total_calls"] / max(1, batched_total), 3),
+                baseline["total_calls"] / max(1, total["total_calls"]), 3),
         }
     elif baseline_reason is not None:
         doc["vs_baseline"] = {"skipped": baseline_reason}
@@ -250,7 +209,10 @@ def parallel_block():
                                   "mach25", PARALLEL_LOAD,
                                   parallel=nprocs)
         seconds = time.perf_counter() - begin
+        # Wall clock and the backend block (which names the run mode)
+        # differ by design; everything simulated must not.
         cell.pop("wallclock_seconds", None)
+        cell.pop("backend", None)
         runs[label] = {"seconds": round(seconds, 3), "cell": cell}
     identical = (json.dumps(runs["single_process"]["cell"], sort_keys=True)
                  == json.dumps(runs["parallel_2"]["cell"], sort_keys=True))
@@ -271,35 +233,28 @@ def markdown(doc):
     lines = [
         "### Bench wall-clock and interpreter-call census",
         "",
-        "| harness | batched s | legacy s | speedup | batched calls "
-        "| legacy calls | A/B reduction |",
-        "|---|---|---|---|---|---|---|",
+        "| harness | seconds | Python calls | C calls | total calls |",
+        "|---|---|---|---|---|",
     ]
     rows = list(doc["harnesses"].items()) + [("**total**", doc["totals"])]
     for name, entry in rows:
-        if "batched" not in entry:
-            continue
-        lines.append(
-            "| %s | %.3f | %.3f | %.2fx | %s | %s | %.2fx |" % (
-                name,
-                entry["batched"]["seconds"], entry["legacy"]["seconds"],
-                entry["speedup"],
-                "{:,}".format(entry["batched"]["total_calls"]),
-                "{:,}".format(entry["legacy"]["total_calls"]),
-                entry["call_reduction"]))
+        lines.append("| %s | %.3f | %s | %s | %s |" % (
+            name, entry["seconds"],
+            "{:,}".format(entry["python_calls"]),
+            "{:,}".format(entry["c_calls"]),
+            "{:,}".format(entry["total_calls"])))
     versus = doc.get("vs_baseline")
     if versus is not None:
         lines.append("")
         if "skipped" in versus:
-            lines.append("vs pre-PR baseline: skipped (%s)."
-                         % versus["skipped"])
+            lines.append("vs baseline: skipped (%s)." % versus["skipped"])
         else:
             lines.append(
-                "**vs pre-PR baseline** (%s, Python %s): %s calls then, "
-                "%s batched now — **%.2fx call reduction**."
+                "**vs baseline** (%s, Python %s): %s calls then, %s now "
+                "— **%.2fx call reduction**."
                 % (versus.get("ref") or "pinned", versus.get("python"),
                    "{:,}".format(versus["baseline_total_calls"]),
-                   "{:,}".format(versus["batched_total_calls"]),
+                   "{:,}".format(versus["total_calls"]),
                    versus["call_reduction"]))
     study = doc.get("parallel_study")
     if study is not None:
@@ -320,8 +275,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.bench_wallclock",
         description="Wall-clock + interpreter-call census of the bench "
-                    "suite, batched vs legacy dispatch and vs the "
-                    "frozen pre-PR baseline.")
+                    "suite, against a frozen baseline census.")
     parser.add_argument("-o", "--output", metavar="PATH",
                         help="write the JSON document here "
                              "(default: stdout)")
@@ -329,9 +283,8 @@ def main(argv=None):
                         help="print a markdown summary to stdout "
                              "(for CI step summaries)")
     parser.add_argument("--census-only", action="store_true",
-                        help="one whole-suite census in the tree's "
-                             "default mode (runs against old trees; "
-                             "produces a --baseline-json document)")
+                        help="one whole-suite census (runs against old "
+                             "trees; produces a --baseline-json document)")
     parser.add_argument("--baseline-json", metavar="PATH", default=None,
                         help="a --census-only document measured on the "
                              "base commit with this interpreter "
@@ -360,11 +313,6 @@ def main(argv=None):
             json.dump(doc, sys.stdout, indent=2, sort_keys=True)
             sys.stdout.write("\n")
         return 0
-
-    if dispatch is None:
-        print("bench_wallclock: this tree has no dispatch module; only "
-              "--census-only works here", file=sys.stderr)
-        return 2
 
     log = None if args.quiet else (
         lambda message: print(message, file=sys.stderr))

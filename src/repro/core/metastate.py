@@ -55,7 +55,7 @@ class MetastateCache:
 
     def lookup(self, next_hop_ip):
         """The cache probe :meth:`resolve` performs after its entry
-        charge; plain call used by the train-dispatch fast path."""
+        charge; plain call used by the stack's IP output."""
         return self.arp_cache.lookup(next_hop_ip)
 
     def resolve_miss(self, ctx, next_hop_ip):

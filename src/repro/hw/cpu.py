@@ -13,7 +13,6 @@ largest single charge, which the protocol code keeps small by charging
 per-layer.
 """
 
-from repro.sim.process import Timeout
 from repro.sim.sync import PriorityLock
 
 
@@ -37,29 +36,6 @@ class CPU:
         self._sched = PriorityLock(sim, name=name)
         self.busy_time = 0.0
         self.charge_count = 0
-
-    def execute(self, cost, priority=Priority.APPLICATION, account=None):
-        """Charge ``cost`` microseconds of CPU at ``priority``.
-
-        ``account``, if given, is a callable invoked with the cost actually
-        charged — used by the instrumentation layer to attribute time to
-        protocol layers.  Usage: ``yield from cpu.execute(12.5, prio)``.
-        """
-        if cost < 0:
-            raise ValueError("negative CPU cost: %r" % cost)
-        if cost == 0:
-            return
-        sched = self._sched
-        if not sched.try_acquire():
-            yield from sched.acquire(priority)
-        try:
-            yield Timeout(cost)
-        finally:
-            sched.release()
-        self.busy_time += cost
-        self.charge_count += 1
-        if account is not None:
-            account(cost)
 
     @property
     def scheduler(self):

@@ -13,16 +13,20 @@ with the three delivery interfaces of Section 4.1:
   the packet still sits in device memory, deferring the copy until the
   destination is known, so the packet moves device -> destination ring in
   a single copy.
+
+IP fragments are reassembled before the filter runs: a session filter
+matches on transport ports, which only a datagram's first fragment
+carries.
 """
 
 from repro.filter.vm import FilterMachine
 from repro.hw.cpu import Priority
 from repro.kernel.ipc import Message
+from repro.net import ip
 from repro.net.ethernet import ETHERTYPE_ARP, ETHERTYPE_IP
-from repro.stack import dispatch
 from repro.stack.context import ExecutionContext
 from repro.stack.instrument import Layer
-from repro.trace import frame_trace
+from repro.trace import TaggedFrame, frame_trace
 
 _ARP_KEY = ("arp",)
 
@@ -152,9 +156,9 @@ class Kernel:
         self._attr_ctxs = {}
         self.frames_dropped_no_match = 0
         self.frames_demuxed = 0
-        loop = (self._interrupt_loop_train if dispatch.TRAIN_DISPATCH
-                else self._interrupt_loop)
-        sim.spawn(loop(), name="%s.intr" % name)
+        #: IP fragments waiting for the rest of their datagram.
+        self.reassembler = ip.Reassembler(lambda: sim.now)
+        sim.spawn(self._interrupt_loop(), name="%s.intr" % name)
 
     # ------------------------------------------------------------------
     # Packet filter management (a kernel call; the OS server uses it when
@@ -218,21 +222,11 @@ class Kernel:
         the in-kernel stack passes ``wired=True`` because its mbufs are
         already wired and go straight to the device.
         """
+        # The trap, copy and device charges go in one batch (each pair its
+        # own CPU acquire/release — see ExecutionContext.charge_batch);
+        # the frame joins the tx ring with a plain call when there is
+        # room, blocking in the start_transmit generator only when full.
         p = ctx.params
-        if not dispatch.TRAIN_DISPATCH:
-            if not wired:
-                yield ctx.charge_boundary_crossing(Layer.ETHER_OUTPUT)
-                yield ctx.charge_copy(Layer.ETHER_OUTPUT, len(frame))
-            yield ctx.charge(
-                Layer.ETHER_OUTPUT,
-                p.ether_overhead + p.devmem_write_per_byte * len(frame),
-            )
-            yield from self.nic.start_transmit(frame)
-            return
-        # Train dispatch: fuse the trap/copy/device charges into one batch
-        # (same pairs, same order — see ExecutionContext.charge_batch) and
-        # enqueue on the tx ring with a plain call when there is room,
-        # blocking through the legacy generator only when the ring is full.
         nbytes = len(frame)
         if not wired:
             ctx.crossings.user_kernel += 1
@@ -256,54 +250,20 @@ class Kernel:
     # ------------------------------------------------------------------
 
     def _interrupt_loop(self):
-        p = self.params
-        while True:
-            frame = yield from self.nic.rx_ring.get()
-            enq_at = self.nic.rx_pop_time()
-            if self.tracer is not None:
-                trace_id = frame_trace(frame)
-                if trace_id is None and self.tracer.enabled:
-                    self.tracer.begin("recv", host=self.name, size=len(frame))
-                else:
-                    self.tracer.adopt(trace_id)
-                if self.tracer.enabled:
-                    tid = self.tracer.current()
-                    if tid is not None:
-                        waited = self.ctx.sim.now - enq_at
-                        if waited > 0:
-                            self.tracer.record_wait(
-                                tid, self.name, "nic_rx_ring", "queue",
-                                enq_at, waited)
-            pre_cost = p.interrupt_entry
-            yield self.ctx.charge(Layer.DEVICE_READ, p.interrupt_entry)
-            if not self.integrated_filter:
-                # Copy the whole frame out of device memory first.
-                read_cost = p.devmem_read_per_byte * len(frame)
-                pre_cost += read_cost
-                yield self.ctx.charge(Layer.DEVICE_READ, read_cost)
-                self.nic.rx_release()
-                from_device = False
-            else:
-                from_device = True
-            yield self.ctx.charge(Layer.NETISR_FILTER, p.netisr_dispatch)
-            matched = yield from self._demux(frame, from_device, pre_cost)
-            if from_device:
-                self.nic.rx_release()
-            if not matched:
-                self.frames_dropped_no_match += 1
+        """The receive interrupt: device read, filter demux, delivery.
 
-    def _interrupt_loop_train(self):
-        """:meth:`_interrupt_loop` with queued frames drained as a train.
-
-        Bit-identical to the legacy loop: a ``get()`` on a non-empty
-        channel pops synchronously without touching the engine (and the
-        rx ring is unbounded, so it never has blocked putters to wake),
-        making the non-blocking ``try_get`` drain the same schedule.  Per
-        frame, charges that had no engine interaction between them fuse
-        into one batch — interrupt entry + device read (the rx-slot
-        release stays between the read and the netisr dispatch, where the
-        legacy path put it), or entry + dispatch in integrated mode — and
-        the demux/attribution subgenerators are inlined.
+        Frames queued on the rx ring are drained as a train: a ``get()``
+        on a non-empty channel pops synchronously without touching the
+        engine (and the rx ring is unbounded, so it never has blocked
+        putters to wake), so the non-blocking ``try_get`` drain runs each
+        frame exactly when a one-frame-per-``get()`` loop would.  Per
+        frame, charges with no engine interaction between them go in one
+        batch: interrupt entry + device read (the rx-slot release sits
+        between the read and the netisr dispatch), or entry + dispatch in
+        integrated mode.  Each filter program run is charged to the
+        ledger of the filter's owner; the matched owner's ledger is also
+        credited with the pre-demux interrupt/read work (already charged
+        to the CPU) so per-placement breakdowns include it.
         """
         p = self.params
         ctx = self.ctx
@@ -348,11 +308,27 @@ class Kernel:
                         (Layer.NETISR_FILTER, p.netisr_dispatch),
                     ))
                     from_device = True
-                if self._demux_index is None:
+                if (len(frame) >= 34 and frame[12] == 0x08
+                        and frame[13] == 0x00
+                        and (frame[20] & 0x3F or frame[21])):
+                    # An IP fragment (MF set or a nonzero offset).
+                    if from_device:
+                        # Held fragments must leave device memory.
+                        yield ctx.charge(Layer.DEVICE_READ,
+                                         p.devmem_read_per_byte * len(frame))
+                        nic.rx_release()
+                        from_device = False
+                    yield ctx.charge(Layer.IPINTR, p.ipintr_overhead)
+                    frame = self._reassemble(frame)
+                matched = False
+                if frame is None:
+                    # A held fragment (or a corrupt one): not a filter miss.
+                    handles = ()
+                    matched = True
+                elif self._demux_index is None:
                     handles = self._filters
                 else:
                     handles = self._demux_candidates(frame)
-                matched = False
                 for handle in handles:
                     accepted, insns = vm_run(handle.program, frame)
                     accounting = handle.accounting
@@ -378,6 +354,19 @@ class Kernel:
                 ok, frame = rx_try()
                 if not ok:
                     break
+
+    def _reassemble(self, frame):
+        """Feed one fragment frame to the reassembly queue; returns the
+        whole datagram as one frame (with the Ethernet header and trace
+        id of the fragment that completed it), or None while pieces are
+        missing or when the fragment's IP header is corrupt."""
+        try:
+            packet = self.reassembler.input(frame[14:])
+        except ValueError:
+            return None
+        if packet is None:
+            return None
+        return TaggedFrame.tag(frame[:14] + packet, frame_trace(frame))
 
     def _demux_candidates(self, frame):
         """The installed filters worth running against ``frame``.
@@ -429,33 +418,6 @@ class Kernel:
             candidates.extend(self._unindexed)
         return candidates
 
-    def _demux(self, frame, from_device, pre_cost):
-        p = self.params
-        if self._demux_index is None:
-            handles = self._filters
-        else:
-            handles = self._demux_candidates(frame)
-        for handle in handles:
-            accepted, insns = self._vm.run(handle.program, frame)
-            yield from self._charge_attributed(
-                handle.accounting, Layer.NETISR_FILTER, p.filter_insn * insns
-            )
-            if accepted:
-                handle.matched += 1
-                self.frames_demuxed += 1
-                if handle.accounting is not None:
-                    # Attribute the pre-demux interrupt/read work (already
-                    # charged to the CPU) to the matched session's ledger
-                    # so per-placement breakdowns include it.
-                    handle.accounting.add(Layer.DEVICE_READ, pre_cost)
-                    handle.accounting.add(
-                        Layer.NETISR_FILTER, p.netisr_dispatch
-                    )
-                ctx = self._attributed_ctx(handle.accounting)
-                yield from handle.delivery.deliver(ctx, frame, from_device)
-                return True
-        return False
-
     def _attributed_ctx(self, accounting):
         """An interrupt-priority context whose charges are attributed to
         the matched session's owner (so Table 4 rows show per-placement
@@ -474,7 +436,3 @@ class Kernel:
             )
             self._attr_ctxs[accounting] = ctx
         return ctx
-
-    def _charge_attributed(self, accounting, layer, cost):
-        ctx = self._attributed_ctx(accounting)
-        yield ctx.charge(layer, cost)

@@ -232,9 +232,11 @@ class Reassembler:
     def input(self, packet):
         """Feed one IP packet; returns a complete packet or None.
 
-        Unfragmented packets pass straight through.
+        Unfragmented packets pass straight through.  A packet whose
+        header fails to parse or checksum raises ValueError instead of
+        being held.
         """
-        header, payload = decapsulate(packet, verify=False)
+        header, payload = decapsulate(packet, verify=True)
         if header.frag_off == 0 and not header.more_fragments:
             return bytes(packet)
         self._expire()

@@ -20,7 +20,6 @@ from repro.kernel.kernel import IPCDelivery
 from repro.net import ip
 from repro.sim.errors import Interrupt
 from repro.sim.events import any_of
-from repro.stack import dispatch
 from repro.stack.context import ExecutionContext, light_locks, spl_locks
 from repro.stack.engine import NetEnv, NetworkStack
 from repro.stack.instrument import Layer, LayerAccounting
@@ -115,7 +114,6 @@ class UnixServer:
             local_ip=host.ip,
             local_mac=host.mac,
             send_frame=self._send_frame,
-            resolve=host.arp.resolve,
             route=host.route,
             arp_lookup=host.arp.lookup,
             resolve_miss=host.arp.resolve_miss,
@@ -168,19 +166,13 @@ class UnixServer:
         yield from self.host.kernel.netif_send(ctx, frame, wired=False)
 
     def _input_loop(self):
-        if dispatch.TRAIN_DISPATCH:
-            # Single-frame trains: same schedule, shallower resume chain
-            # per packet.  port.receive handles trace adoption.
-            while True:
-                message = yield from self._input_port.receive(
-                    self.ctx, Layer.KERNEL_COPYOUT
-                )
-                yield from self.stack.input_train((message.data,))
+        # One single-frame train per message; port.receive handles
+        # trace adoption.
         while True:
             message = yield from self._input_port.receive(
                 self.ctx, Layer.KERNEL_COPYOUT
             )
-            yield from self.stack.input_frame(message.data)
+            yield from self.stack.input_train((message.data,))
 
     # ------------------------------------------------------------------
     # RPC dispatch: one handler process per request, so blocking calls

@@ -22,9 +22,8 @@ from repro.net.tcp.output import rst_for
 from repro.net.tcp.tcb import TCPError
 from repro.net.tcp.timers import FAST_TICK_US, SLOW_TICK_US
 from repro.sim.process import Timeout
-from repro.stack import dispatch
 from repro.stack.instrument import Layer
-from repro.trace import adopt_trace, current_trace, frame_trace
+from repro.trace import adopt_trace, current_trace
 
 
 class SocketTimeout(Exception):
@@ -64,29 +63,21 @@ class NetEnv:
     * ``send_frame(ctx, frame)`` — generator; puts a full Ethernet frame
       on the wire, charging the caller's context (placements route this
       through the kernel's send trap or straight to the device).
-    * ``resolve(ctx, next_hop_ip)`` — generator returning the MAC address
-      (in-kernel ARP, server ARP, or the library's cached metastate).
     * ``route(dst_ip)`` — plain call returning the next-hop IP.
-
-    The optional fast-path pair splits ``resolve`` at its cache probe so
-    train dispatch can fuse the resolve entry charge into a batch:
-
-    * ``arp_lookup(next_hop_ip)`` — plain call; the cache probe that
-      ``resolve`` performs right after its entry charge (same counters,
-      same expiry), returning the MAC or None.
-    * ``resolve_miss(ctx, next_hop_ip)`` — generator; the miss tail of
-      ``resolve``, verbatim (request/retry loop or metastate RPC).
-
-    Environments that do not provide them leave ``arp_lookup`` None and
-    callers fall back to the plain ``resolve`` generator.
+    * ``arp_lookup(next_hop_ip)`` — plain call; the ARP cache probe (the
+      in-kernel/server ARP cache or the library's cached metastate),
+      returning the MAC or None.  :meth:`NetworkStack.ip_output` bills
+      the probe's ETHER_OUTPUT charge in its own batch.
+    * ``resolve_miss(ctx, next_hop_ip)`` — generator; what a cache miss
+      costs and returns (the ARP request/retry loop, or a metastate RPC
+      to the OS server).
     """
 
-    def __init__(self, local_ip, local_mac, send_frame, resolve, route,
-                 arp_lookup=None, resolve_miss=None):
+    def __init__(self, local_ip, local_mac, send_frame, route, arp_lookup,
+                 resolve_miss):
         self.local_ip = local_ip
         self.local_mac = local_mac
         self.send_frame = send_frame
-        self.resolve = resolve
         self.route = route
         self.arp_lookup = arp_lookup
         self.resolve_miss = resolve_miss
@@ -213,7 +204,6 @@ class NetworkStack:
         self._tcp = {}  # (lport, rip, rport) -> TCPSession; listeners (lport, None, None)
         self._udp = {}
         self.mbuf_stats = MbufStats()
-        self.reassembler = ip.Reassembler(lambda: ctx.sim.now)
         self._ip_ident = 0
         self._shutdown = False
         self.unmatched_tcp = 0
@@ -577,12 +567,8 @@ class NetworkStack:
             (Layer.TCP_UDP_OUTPUT,
              p.header_build + p.socket_layer + self.ctx.locks.lock_cost),
         )
-        if dispatch.TRAIN_DISPATCH and self.env.arp_lookup is not None:
-            yield from self._ip_output_train(ip.PROTO_UDP, dst[0], datagram,
-                                             pairs)
-        else:
-            yield self.ctx.charge_batch(pairs)
-            yield from self.ip_output(ip.PROTO_UDP, dst[0], datagram)
+        yield from self.ip_output(ip.PROTO_UDP, dst[0], datagram,
+                                  pre_pairs=pairs)
 
     def udp_recv(self, session, timeout_us=None):
         """Blocking receive of one datagram; returns (src_addr, payload).
@@ -649,96 +635,46 @@ class NetworkStack:
     # IP output
     # ==================================================================
 
-    def ip_output(self, proto, dst_ip, payload, ttl=None):
+    def ip_output(self, proto, dst_ip, payload, ttl=None, pre_pairs=()):
         """Wrap ``payload`` in IP (+Ethernet) and transmit, fragmenting to
-        the MTU when necessary."""
-        p = self.ctx.params
-        self._ip_ident = (self._ip_ident + 1) & 0xFFFF
-        yield self.ctx.charge(Layer.IP_OUTPUT, p.ip_output_overhead)
-        packet = ip.encapsulate(
-            self.env.local_ip, dst_ip, proto, payload, ident=self._ip_ident,
-            ttl=ttl if ttl is not None else ip.DEFAULT_TTL,
-        )
-        next_hop = self.env.route(dst_ip)
-        for frag in ip.fragment(packet, ethernet.MTU):
-            mac = yield from self.env.resolve(self.ctx, next_hop)
-            frame = ethernet.encapsulate(
-                mac, self.env.local_mac, ethernet.ETHERTYPE_IP, frag
-            )
-            yield from self.env.send_frame(self.ctx, frame)
+        the MTU when necessary.
 
-    def _tcp_drain(self, session):
-        """Transmit everything the TCP machine queued (charging the
-        tcp_output layer costs)."""
-        if self._armed is not None:
-            self._arm(session)
-        proc = self.ctx.sim.current
-        tid = proc.trace_ctx if proc is not None else None
-        if tid is not None:
-            session.last_tx_trace = tid
-        conn = session.conn
-        while conn._outbox:  # has_output() inlined (hot drain loop)
-            for seg in conn.take_output():
-                p = self.ctx.params
-                yield self.ctx.charge_batch((
-                    (Layer.TCP_UDP_OUTPUT,
-                     p.header_build + p.socket_layer
-                     + self.ctx.locks.lock_cost),
-                    (Layer.TCP_UDP_OUTPUT,
-                     p.checksum_fixed
-                     + p.checksum_per_byte * (len(seg.payload) + 20)),
-                ))
-                packed = seg.pack(self.env.local_ip, conn.remote[0])
-                yield from self.ip_output(ip.PROTO_TCP, conn.remote[0], packed)
-        self._maybe_reap(session)
-
-    def _ip_output_train(self, proto, dst_ip, payload, pre_pairs):
-        """:meth:`ip_output` with the caller's pending charges fused in.
-
-        Bit-identical to ``charge_batch(pre_pairs)`` followed by
-        ``ip_output``: every (layer, cost) pair keeps its own CPU
-        acquire/sleep/release point and the same sequence, only the pure
-        computation between them (encapsulation, routing) moves.  The
-        common single-fragment case additionally fuses the resolve entry
-        charge (``env.resolve`` charges ETHER_OUTPUT proc_call *before*
-        its cache probe, so probing after the batch is the same schedule)
-        and probes the ARP cache with a plain call, falling to the
-        ``resolve_miss`` generator only on a miss.  Fragmented packets
-        take the legacy per-fragment path.
+        ``pre_pairs`` are the caller's pending ``(layer, cost)`` charges
+        (its transport-output work).  They are billed in one batch with
+        the IP output charge and the first fragment's ARP-cache probe
+        charge; each pair keeps its own CPU acquire/release point (see
+        :meth:`~repro.stack.context.ExecutionContext.charge_batch`), so
+        only pure computation (encapsulation, routing) moves relative to
+        the charges.  The cache probe is a plain call; the
+        ``env.resolve_miss`` generator runs only on a miss.
         """
         p = self.ctx.params
         env = self.env
         self._ip_ident = (self._ip_ident + 1) & 0xFFFF
         packet = ip.encapsulate(
             env.local_ip, dst_ip, proto, payload, ident=self._ip_ident,
-            ttl=ip.DEFAULT_TTL,
+            ttl=ttl if ttl is not None else ip.DEFAULT_TTL,
         )
-        if len(packet) > ethernet.MTU:
-            yield self.ctx.charge_batch(
-                pre_pairs + ((Layer.IP_OUTPUT, p.ip_output_overhead),))
-            next_hop = env.route(dst_ip)
-            for frag in ip.fragment(packet, ethernet.MTU):
-                mac = yield from env.resolve(self.ctx, next_hop)
-                frame = ethernet.encapsulate(
-                    mac, env.local_mac, ethernet.ETHERTYPE_IP, frag
-                )
-                yield from env.send_frame(self.ctx, frame)
-            return
+        frags = ((packet,) if len(packet) <= ethernet.MTU
+                 else ip.fragment(packet, ethernet.MTU))
         yield self.ctx.charge_batch(
             pre_pairs + ((Layer.IP_OUTPUT, p.ip_output_overhead),
                          (Layer.ETHER_OUTPUT, p.proc_call)))
         next_hop = env.route(dst_ip)
-        mac = env.arp_lookup(next_hop)
-        if mac is None:
-            mac = yield from env.resolve_miss(self.ctx, next_hop)
-        frame = ethernet.encapsulate(
-            mac, env.local_mac, ethernet.ETHERTYPE_IP, packet
-        )
-        yield from env.send_frame(self.ctx, frame)
+        for i, frag in enumerate(frags):
+            if i:
+                yield self.ctx.charge(Layer.ETHER_OUTPUT, p.proc_call)
+            mac = env.arp_lookup(next_hop)
+            if mac is None:
+                mac = yield from env.resolve_miss(self.ctx, next_hop)
+            frame = ethernet.encapsulate(
+                mac, env.local_mac, ethernet.ETHERTYPE_IP, frag
+            )
+            yield from env.send_frame(self.ctx, frame)
 
-    def _drain_train(self, session):
-        """:meth:`_tcp_drain` with the per-segment output charges and the
-        single-fragment IP output fused into one batch per segment."""
+    def _tcp_drain(self, session):
+        """Transmit everything the TCP machine queued, each segment's
+        tcp_output charges billed in its :meth:`ip_output` batch."""
         if self._armed is not None:
             self._arm(session)
         proc = self.ctx.sim.current
@@ -747,7 +683,6 @@ class NetworkStack:
             session.last_tx_trace = tid
         conn = session.conn
         p = self.ctx.params
-        fast = self.env.arp_lookup is not None
         out_cost = p.header_build + p.socket_layer + self.ctx.locks.lock_cost
         while conn._outbox:  # has_output() inlined (hot drain loop)
             for seg in conn.take_output():
@@ -757,77 +692,29 @@ class NetworkStack:
                      p.checksum_fixed
                      + p.checksum_per_byte * (len(seg.payload) + 20)),
                 )
-                packed = seg.pack(self.env.local_ip, conn.remote[0])
-                if fast:
-                    yield from self._ip_output_train(
-                        ip.PROTO_TCP, conn.remote[0], packed, pairs)
-                else:
-                    yield self.ctx.charge_batch(pairs)
-                    yield from self.ip_output(
-                        ip.PROTO_TCP, conn.remote[0], packed)
+                dst_ip = conn.remote[0]
+                packed = seg.pack(self.env.local_ip, dst_ip)
+                yield from self.ip_output(ip.PROTO_TCP, dst_ip, packed,
+                                          pre_pairs=pairs)
         self._maybe_reap(session)
 
     # ==================================================================
     # Receive path
     # ==================================================================
 
-    def input_frame(self, frame):
-        """Process one Ethernet frame handed up by the packet filter.
-
-        Charges the receive-path layers: mbuf packaging, IP input, TCP/UDP
-        input (including the checksum over the data), and user wakeup.
-        """
-        p = self.ctx.params
-        yield self.ctx.charge(
-            Layer.MBUF_QUEUE, p.mbuf_alloc + self.ctx.locks.lock_cost
-        )
-        self.mbuf_stats.allocated += 1
-        try:
-            _eth, packet = ethernet.decapsulate(frame)
-        except ValueError:
-            return
-        yield self.ctx.charge(Layer.IPINTR, p.ipintr_overhead)
-        try:
-            packet = self.reassembler.input(packet)
-        except ValueError:
-            return
-        if packet is None:
-            return  # fragment: incomplete
-        try:
-            header, payload = ip.decapsulate(packet, verify=True)
-        except ValueError:
-            # A corrupted IP header must cost this one frame, not the
-            # input loop that carried it — every later frame on the
-            # session funnels through the same consumer process.
-            self.ip_input_errors += 1
-            return
-        if header.dst != self.env.local_ip:
-            # Not addressed to this host.  The in-kernel placements catch
-            # whole protocols with one filter, so on a shared segment a
-            # stack sees its neighbors' traffic; answering it (RSTs, port
-            # unreachables) or delivering it to a same-port session would
-            # corrupt the neighbors' sessions.  BSD's ip_input drops here
-            # unless the host is a forwarder; so do we.
-            self.not_for_host += 1
-            return
-        if header.proto == ip.PROTO_TCP:
-            yield from self._tcp_input(header, payload)
-        elif header.proto == ip.PROTO_UDP:
-            yield from self._udp_input(header, payload, packet)
-        elif header.proto == ip.PROTO_ICMP:
-            yield from self._icmp_input(header, payload)
-
     def input_train(self, frames, adopt=False):
-        """Process a train of frames with the per-frame charge prologues
-        fused and the TCP/UDP input paths inlined.
+        """Process a train of Ethernet frames handed up by the packet
+        filter, in order.
 
-        Bit-identical to ``for f in frames: yield from input_frame(f)``
-        (with a per-frame ``adopt_trace`` first when ``adopt`` is set):
-        every (layer, cost) pair keeps its own CPU acquire/sleep/release
-        point in the same order, and only pure computation (decapsulation,
-        demux dict probes) moves across charge boundaries.  Early-exit
-        paths charge exactly the pairs the legacy path had charged by
-        that point.
+        Per frame this charges the receive-path layers: mbuf packaging,
+        IP input, TCP/UDP input (including the checksum over the data),
+        and the user wakeup.  With ``adopt`` set each frame's trace id
+        becomes the process's trace context first.  Charges with no
+        engine interaction between them are fused into one batch (each
+        pair still its own CPU acquire/sleep/release point), so pure
+        computation such as decapsulation runs ahead of the charges it
+        follows in the cost model; a frame that fails to parse costs
+        exactly the charges billed before the failing layer.
         """
         ctx = self.ctx
         p = ctx.params
@@ -847,8 +734,7 @@ class NetworkStack:
                     proc.trace_ctx = getattr(frame, "trace_id", None)
             # ethernet.decapsulate is pure: hoisting it before the mbuf
             # charge lets the common case fuse mbuf + ipintr into one
-            # batch while a truncated frame still costs exactly the mbuf
-            # charge the legacy path had issued before failing.
+            # batch while a truncated frame costs only the mbuf charge.
             try:
                 _eth, packet = ethernet.decapsulate(frame)
             except ValueError:
@@ -860,31 +746,37 @@ class NetworkStack:
                 (Layer.IPINTR, p.ipintr_overhead),
             ))
             mbuf_stats.allocated += 1
-            try:
-                packet = self.reassembler.input(packet)
-            except ValueError:
-                continue
-            if packet is None:
-                continue  # fragment: incomplete
+            # No fragments get here: the kernel reassembles them before
+            # its packet filter runs.
             try:
                 header, payload = ip.decapsulate(packet, verify=True)
             except ValueError:
+                # A corrupted IP header must cost this one frame, not the
+                # input loop that carried it — every later frame on the
+                # session funnels through the same consumer process.
                 self.ip_input_errors += 1
                 continue
             if header.dst != local_ip:
+                # Not addressed to this host.  The in-kernel placements
+                # catch whole protocols with one filter, so on a shared
+                # segment a stack sees its neighbors' traffic; answering
+                # it (RSTs, port unreachables) or delivering it to a
+                # same-port session would corrupt the neighbors'
+                # sessions.  BSD's ip_input drops here unless the host is
+                # a forwarder; so do we.
                 self.not_for_host += 1
                 continue
             proto = header.proto
             if proto == ip.PROTO_TCP:
-                # _tcp_input inlined; TCPSegment.unpack is pure, so the
-                # checksum charge fuses with the header/lock/socket
-                # charge for well-formed segments.
+                # TCPSegment.unpack is pure, so the checksum charge fuses
+                # with the header/lock/socket charge for well-formed
+                # segments.
                 try:
                     seg = TCPSegment.unpack(header.src, header.dst, payload)
                 except ValueError:
                     yield ctx.charge_checksum(Layer.TCP_UDP_INPUT,
                                               len(payload))
-                    continue  # corrupt segment: drop silently
+                    continue  # corrupt segment: drop silently, as TCP does
                 yield charge_batch((
                     (Layer.TCP_UDP_INPUT,
                      checksum_fixed + checksum_per_byte * len(payload)),
@@ -918,13 +810,13 @@ class NetworkStack:
                 session.notify.fire()
                 if session.selected:
                     self.select_notify.fire()
-                yield from self._drain_train(session)
+                yield from self._tcp_drain(session)
                 self._promote_child(session)
                 if conn.state == TCPState.CLOSED:
                     self._maybe_reap(session)
             elif proto == ip.PROTO_UDP:
-                # _udp_input inlined; udp.decapsulate is pure, so the
-                # three input charges fuse for well-formed datagrams.
+                # udp.decapsulate is pure, so the three input charges
+                # fuse for well-formed datagrams.
                 try:
                     uh, data = udp.decapsulate(header.src, header.dst,
                                                payload)
@@ -956,44 +848,6 @@ class NetworkStack:
                     self.select_notify.fire()
             elif proto == ip.PROTO_ICMP:
                 yield from self._icmp_input(header, payload)
-
-    def _tcp_input(self, header, payload):
-        p = self.ctx.params
-        yield self.ctx.charge_checksum(Layer.TCP_UDP_INPUT, len(payload))
-        try:
-            seg = TCPSegment.unpack(header.src, header.dst, payload)
-        except ValueError:
-            return  # corrupt segment: drop silently, as TCP does
-        yield self.ctx.charge(
-            Layer.TCP_UDP_INPUT,
-            p.header_build + self.ctx.locks.lock_cost + p.socket_layer,
-        )
-        if (seg.dst_port, header.src, seg.src_port) in self.migrated_tombstones:
-            return  # straggler for a migrated session: drop silently
-        session = self._tcp_demux(header.src, seg)
-        if session is None:
-            self.unmatched_tcp += 1
-            rst = rst_for(seg)
-            if rst is not None:
-                packed = rst.pack(self.env.local_ip, header.src)
-                yield from self.ip_output(ip.PROTO_TCP, header.src, packed)
-            return
-        conn = session.conn
-        was_listener = conn.state == TCPState.LISTEN
-        sim = self.ctx.sim
-        if not was_listener and self._armed is not None:
-            self._arm(session)
-        proc = sim.current
-        session.last_rx_trace = proc.trace_ctx if proc is not None else None
-        session.last_rx_time = sim._now
-        conn.segment_arrives(seg, src_ip=header.src)
-        if was_listener and conn.state == TCPState.SYN_RECEIVED:
-            self._register(session)
-        yield from self._wake(session.notify, session.selected)
-        yield from self._tcp_drain(session)
-        self._promote_child(session)
-        if conn.state == TCPState.CLOSED:
-            self._maybe_reap(session)
 
     def _tcp_demux(self, src_ip, seg):
         """Find the session for a segment: exact 4-tuple, then listener."""
@@ -1046,29 +900,6 @@ class NetworkStack:
         elif session.conn.state == TCPState.CLOSED:
             key = (session.remote[0], session.remote[1]) if session.remote else None
             listener.children.pop(key, None)
-
-    def _udp_input(self, header, payload, packet=None):
-        p = self.ctx.params
-        yield self.ctx.charge_checksum(Layer.TCP_UDP_INPUT, len(payload))
-        try:
-            uh, data = udp.decapsulate(header.src, header.dst, payload)
-        except ValueError:
-            return
-        yield self.ctx.charge_batch((
-            (Layer.TCP_UDP_INPUT, p.header_build + self.ctx.locks.lock_cost),
-            (Layer.TCP_UDP_INPUT, p.socket_layer),
-        ))
-        session = self._udp.get((uh.dst_port, header.src, uh.src_port))
-        if session is None:
-            session = self._udp.get((uh.dst_port, None, None))
-        if session is None:
-            self.unmatched_udp += 1
-            if packet is not None:
-                yield from self._send_port_unreachable(header, packet)
-            return
-        session.enqueue((header.src, uh.src_port), data,
-                        trace=current_trace(self.ctx.sim))
-        yield from self._wake(session.notify, session.selected)
 
     # ==================================================================
     # ICMP (the "exceptional packets" of Section 3.1)

@@ -25,9 +25,6 @@ from repro.stack.instrument import Layer
 ARP_RETRY_US = 1_000_000.0
 ARP_MAX_TRIES = 5
 
-#: Re-exported for backwards compatibility; defined with the protocol.
-ArpTimeout = arp.ArpTimeout
-
 
 class Host:
     """One machine on the network."""
@@ -156,9 +153,10 @@ class ArpService:
 
     def lookup(self, next_hop_ip):
         """The cache probe :meth:`resolve` performs after its entry
-        charge (same hit/miss counters, same expiry); plain call.  Train
-        dispatch fuses the entry charge elsewhere and probes through
-        this, falling into :meth:`resolve_miss` when it returns None."""
+        charge (same hit/miss counters, same expiry); plain call.  The
+        stack's IP output bills the entry charge in its own batch and
+        probes through this, falling into :meth:`resolve_miss` when it
+        returns None."""
         return self.cache.lookup(next_hop_ip)
 
     def resolve_miss(self, ctx, next_hop_ip):
@@ -181,4 +179,4 @@ class ArpService:
                 mac = self.cache.lookup(next_hop_ip)
                 if mac is not None:
                     return mac
-        raise ArpTimeout("no ARP reply for %r" % next_hop_ip)
+        raise arp.ArpTimeout("no ARP reply for %r" % next_hop_ip)

@@ -5,17 +5,23 @@ import pytest
 from repro.hw.cpu import CPU, Priority
 from repro.hw.platforms import DECSTATION_5000_200
 from repro.sim import Timeout
+from repro.stack.context import ExecutionContext
 
 
 def make_cpu(sim):
     return CPU(sim, DECSTATION_5000_200)
 
 
+def context(sim, cpu, priority=Priority.APPLICATION):
+    return ExecutionContext(sim, cpu, priority=priority)
+
+
 def test_charge_advances_clock(sim):
     cpu = make_cpu(sim)
+    ctx = context(sim, cpu)
 
     def worker():
-        yield from cpu.execute(100.0)
+        yield ctx.charge("work", 100.0)
         return sim.now
 
     assert sim.run_process(worker()) == 100.0
@@ -25,9 +31,10 @@ def test_charge_advances_clock(sim):
 
 def test_zero_cost_is_free(sim):
     cpu = make_cpu(sim)
+    ctx = context(sim, cpu)
 
     def worker():
-        yield from cpu.execute(0.0)
+        yield ctx.charge("work", 0.0)
         return sim.now
 
     assert sim.run_process(worker()) == 0.0
@@ -36,9 +43,10 @@ def test_zero_cost_is_free(sim):
 
 def test_negative_cost_raises(sim):
     cpu = make_cpu(sim)
+    ctx = context(sim, cpu)
 
     def worker():
-        yield from cpu.execute(-1.0)
+        yield ctx.charge("work", -1.0)
 
     proc = sim.spawn(worker())
     sim.run()
@@ -48,10 +56,11 @@ def test_negative_cost_raises(sim):
 
 def test_charges_serialize(sim):
     cpu = make_cpu(sim)
+    ctx = context(sim, cpu)
     finishes = []
 
     def worker(name):
-        yield from cpu.execute(50.0)
+        yield ctx.charge("work", 50.0)
         finishes.append((name, sim.now))
 
     sim.spawn(worker("a"))
@@ -62,17 +71,19 @@ def test_charges_serialize(sim):
 
 def test_priority_wins_at_release_point(sim):
     cpu = make_cpu(sim)
+    app_ctx = context(sim, cpu, Priority.APPLICATION)
+    intr_ctx = context(sim, cpu, Priority.INTERRUPT)
     order = []
 
     def app():
-        yield from cpu.execute(10.0, Priority.APPLICATION)
+        yield app_ctx.charge("work", 10.0)
         order.append("app1")
-        yield from cpu.execute(10.0, Priority.APPLICATION)
+        yield app_ctx.charge("work", 10.0)
         order.append("app2")
 
     def interrupt_handler():
         yield Timeout(1.0)  # arrives while the app's first charge runs
-        yield from cpu.execute(5.0, Priority.INTERRUPT)
+        yield intr_ctx.charge("work", 5.0)
         order.append("intr")
 
     sim.spawn(app())
@@ -81,22 +92,12 @@ def test_priority_wins_at_release_point(sim):
     assert order == ["app1", "intr", "app2"]
 
 
-def test_account_callback(sim):
-    cpu = make_cpu(sim)
-    charged = []
-
-    def worker():
-        yield from cpu.execute(30.0, account=charged.append)
-
-    sim.run_process(worker())
-    assert charged == [30.0]
-
-
 def test_utilization(sim):
     cpu = make_cpu(sim)
+    ctx = context(sim, cpu)
 
     def worker():
-        yield from cpu.execute(25.0)
+        yield ctx.charge("work", 25.0)
         yield Timeout(75.0)
 
     sim.run_process(worker())
